@@ -21,6 +21,7 @@ from .online_aggregation import (
 from .scan import run_lockstep_scan
 from .snapshot import (
     EngineSnapshot,
+    RelationMoments,
     RelationSnapshot,
     StatisticsSnapshot,
     join_interval_between,
@@ -34,6 +35,7 @@ __all__ = [
     "OnlineJoinAggregator",
     "OnlineStatisticsEngine",
     "EngineSnapshot",
+    "RelationMoments",
     "RelationSnapshot",
     "ScanState",
     "StatisticsSnapshot",

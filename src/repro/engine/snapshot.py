@@ -28,17 +28,26 @@ frequency, self-join, join, fractions), attach the paper's
 variance-derived confidence intervals via the runtime plug-in bounds of
 :mod:`repro.variance.runtime`, and reproduce the engine's durable
 checkpoint payload byte for byte (:meth:`EngineSnapshot.checkpoint_payload`).
+
+Because a snapshot never changes, every per-relation statistic the
+query path needs is computed on first use and kept: the per-row raw and
+WOR-corrected second moments, their combined values and the unbiasing
+constants.  Publication computes none of them, so ingest and rotation
+pay nothing for a snapshot nobody queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import ConfigurationError, InsufficientDataError
 from ..sampling.base import SampleInfo
-from ..sampling.unbiasing import join_scale, self_join_correction
+from ..sampling.unbiasing import _expectation_inverse, self_join_correction
+from ..sketches._combine import combine_estimates
 from ..sketches.fagms import FagmsSketch
 from ..sketches.serialization import build_sketch
 from ..variance.bounds import (
@@ -54,9 +63,11 @@ from ..variance.runtime import (
 
 __all__ = [
     "EngineSnapshot",
+    "RelationMoments",
     "RelationSnapshot",
     "StatisticsSnapshot",
     "join_interval_between",
+    "join_scale_between",
     "join_size_between",
     "join_variance_between",
 ]
@@ -117,13 +128,101 @@ class RelationSnapshot:
         )
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class RelationMoments:
+    """One frozen relation's query-path statistics, each kept after first use.
+
+    Every value is a pure function of the frozen counters, so keeping it
+    is bit-identical to recomputing it per query.  With fewer than 2
+    scanned tuples, every WOR-corrected value raises
+    :class:`~repro.errors.InsufficientDataError`, on every access.
+    """
+
+    def __init__(self, relation: RelationSnapshot, sketch: FagmsSketch) -> None:
+        self.relation = relation
+        self.sketch = sketch
+
+    def _combine(self, rows: np.ndarray) -> float:
+        return combine_estimates(rows, self.sketch.combine, self.sketch.groups)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Per-row raw ``Σ_b counter²``."""
+        return _frozen(self.sketch.row_second_moments())
+
+    @cached_property
+    def second_moment(self) -> float:
+        """:attr:`rows` combined: the sketch's raw second moment."""
+        return self._combine(self.rows)
+
+    @cached_property
+    def correction(self) -> tuple[float, float, float]:
+        """The self-join unbiasing ``(scale, random_coefficient, constant)``."""
+        relation = self.relation
+        if relation.scanned < 2:
+            raise InsufficientDataError(
+                f"need at least 2 scanned tuples of {relation.name!r} to unbias F2"
+            )
+        correction = self_join_correction(relation.info())
+        return (
+            float(correction.scale),
+            float(correction.random_coefficient),
+            float(correction.constant),
+        )
+
+    @cached_property
+    def join_factor(self) -> Fraction:
+        """``1/α``: two prefixes' join scale is the product of their factors."""
+        return _expectation_inverse(self.relation.info())
+
+    @cached_property
+    def corrected_rows(self) -> np.ndarray:
+        """Per-row unbiased ``F₂``: the correction applied before combining."""
+        scale, random_coefficient, constant = self.correction
+        return _frozen(
+            scale * self.rows
+            - random_coefficient * self.relation.scanned
+            - constant
+        )
+
+    @cached_property
+    def corrected_second_moment(self) -> float:
+        """:attr:`corrected_rows` combined (the set-expression ``F₂`` term).
+
+        Equals :attr:`self_join_size` in exact arithmetic, since the
+        correction is affine with positive scale; the two orders can
+        differ in the last bits, and each estimator keeps its own.
+        """
+        return self._combine(self.corrected_rows)
+
+    @cached_property
+    def self_join_size(self) -> float:
+        """Unbiased ``F₂``: the correction applied to :attr:`second_moment`."""
+        scale, random_coefficient, constant = self.correction
+        return (
+            scale * self.second_moment
+            - random_coefficient * self.relation.scanned
+            - constant
+        )
+
+
 class EngineSnapshot:
     """Queryable frozen view of an engine, published at one generation.
 
     Snapshots are cheap to hold and safe to share across threads: all
     state is immutable, and estimate evaluation only *reads* the frozen
-    counters.  Estimator results are cached after first evaluation, so a
-    snapshot served many times computes each statistic once.
+    counters.  Each relation's sketch view and :meth:`moments` (second
+    moments per row and combined, raw and WOR-corrected, the unbiasing
+    constants and the self-join estimate) are computed on first use and
+    kept, so a snapshot served many times computes each of them once.
+    Two threads racing on a first use both compute the same value from
+    the same frozen counters, so whichever store wins, every reader sees
+    that value.  Point and join estimates depend on the key or the
+    partner and are computed per call.
 
     For backward compatibility with the pre-serving API, a snapshot also
     exposes the :class:`~repro.engine.statistics.StatisticsSnapshot`
@@ -138,7 +237,8 @@ class EngineSnapshot:
         "_relations",
         "_template",
         "_sketches",
-        "_stats_cache",
+        "_moments",
+        "_statistics",
     )
 
     def __init__(
@@ -157,7 +257,8 @@ class EngineSnapshot:
         # the hot cost of serving a freshly rotated snapshot.
         self._template = template_sketch
         self._sketches: dict[str, FagmsSketch] = {}
-        self._stats_cache: dict = {}
+        self._moments: dict[str, RelationMoments] = {}
+        self._statistics: StatisticsSnapshot | None = None
 
     # ------------------------------------------------------------------
     # Structure
@@ -216,22 +317,17 @@ class EngineSnapshot:
     # Estimates (bit-identical to the live engine at the same prefix)
     # ------------------------------------------------------------------
 
+    def moments(self, name: str) -> RelationMoments:
+        """The relation's query-path statistics, each computed on first use."""
+        moments = self._moments.get(name)
+        if moments is None:
+            moments = RelationMoments(self.relation(name), self.sketch_view(name))
+            self._moments[name] = moments
+        return moments
+
     def self_join_size(self, name: str) -> float:
         """Unbiased ``F₂`` estimate for the frozen prefix of *name*."""
-        cached = self._stats_cache.get(("sj", name))
-        if cached is not None:
-            return cached
-        relation = self.relation(name)
-        if relation.scanned < 2:
-            raise InsufficientDataError(
-                f"need at least 2 scanned tuples of {name!r} to unbias F2"
-            )
-        correction = self_join_correction(relation.info())
-        estimate = correction.apply(
-            self.sketch_view(name).second_moment(), relation.scanned
-        )
-        self._stats_cache[("sj", name)] = estimate
-        return estimate
+        return self.moments(name).self_join_size
 
     def join_size(self, name_a: str, name_b: str) -> float:
         """Unbiased ``|A ⋈ B|`` estimate between two frozen prefixes."""
@@ -276,12 +372,20 @@ class EngineSnapshot:
             averaged=self.averaged_estimators,
         )
 
-    def point_frequency_variance_bound(self, name: str, key: int) -> float:
-        """Conservative variance bound for :meth:`point_frequency`."""
+    def point_frequency_variance_bound(
+        self, name: str, key: int, *, estimate: float | None = None
+    ) -> float:
+        """Conservative variance bound for :meth:`point_frequency`.
+
+        Pass *estimate* when :meth:`point_frequency` of the same key is
+        already known, to probe the sketch once per answer.
+        """
         relation = self.relation(name)
+        if estimate is None:
+            estimate = self.point_frequency(name, key)
         return prefix_point_frequency_variance(
-            self.point_frequency(name, key),
-            self.sketch_view(name).second_moment(),
+            estimate,
+            self.moments(name).second_moment,
             scanned=relation.scanned,
             total=relation.total_tuples,
             buckets=self.averaged_estimators,
@@ -328,9 +432,10 @@ class EngineSnapshot:
         method: str = "chebyshev",
     ) -> ConfidenceInterval:
         """Confidence interval for :meth:`point_frequency`."""
+        estimate = self.point_frequency(name, key)
         return _interval(
-            self.point_frequency(name, key),
-            self.point_frequency_variance_bound(name, key),
+            estimate,
+            self.point_frequency_variance_bound(name, key, estimate=estimate),
             confidence,
             method,
         )
@@ -346,9 +451,8 @@ class EngineSnapshot:
         with fewer than 2 scanned tuples are omitted from the self-join
         map; pairs with an unscanned member are omitted from the join map.
         """
-        cached = self._stats_cache.get("statistics")
-        if cached is not None:
-            return cached
+        if self._statistics is not None:
+            return self._statistics
         fractions = {
             name: relation.fraction
             for name, relation in self._relations.items()
@@ -372,7 +476,7 @@ class EngineSnapshot:
             self_join_sizes=self_joins,
             join_sizes=joins,
         )
-        self._stats_cache["statistics"] = stats
+        self._statistics = stats
         return stats
 
     @property
@@ -460,9 +564,25 @@ def join_size_between(
     engines share their seed (hence hash families); incompatible sketches
     raise :class:`~repro.errors.IncompatibleSketchError`.
     """
-    rel_a, rel_b = _check_cross(snap_a, name_a, snap_b, name_b)
+    _check_cross(snap_a, name_a, snap_b, name_b)
     raw = snap_a.sketch_view(name_a).inner_product(snap_b.sketch_view(name_b))
-    return float(join_scale(rel_a.info(), rel_b.info())) * raw
+    return join_scale_between(snap_a, name_a, snap_b, name_b) * raw
+
+
+def join_scale_between(
+    snap_a: EngineSnapshot,
+    name_a: str,
+    snap_b: EngineSnapshot,
+    name_b: str,
+) -> float:
+    """The size-of-join scale ``1/(αβ)`` of two frozen prefixes.
+
+    Equal to ``float(join_scale(info_a, info_b))`` of
+    :mod:`repro.sampling.unbiasing`, from each snapshot's kept factor.
+    """
+    return float(
+        snap_a.moments(name_a).join_factor * snap_b.moments(name_b).join_factor
+    )
 
 
 def join_variance_between(
@@ -470,11 +590,19 @@ def join_variance_between(
     name_a: str,
     snap_b: EngineSnapshot,
     name_b: str,
+    *,
+    estimate: float | None = None,
 ) -> float:
-    """Conservative variance bound for :func:`join_size_between`."""
+    """Conservative variance bound for :func:`join_size_between`.
+
+    Pass *estimate* when :func:`join_size_between` of the same pair is
+    already known, to compute the inner product once per answer.
+    """
     rel_a, rel_b = _check_cross(snap_a, name_a, snap_b, name_b)
+    if estimate is None:
+        estimate = join_size_between(snap_a, name_a, snap_b, name_b)
     return prefix_join_variance(
-        join_size_between(snap_a, name_a, snap_b, name_b),
+        estimate,
         _prefix_f2(snap_a, name_a),
         _prefix_f2(snap_b, name_b),
         scanned_f=rel_a.scanned,
@@ -495,9 +623,10 @@ def join_interval_between(
     method: str = "chebyshev",
 ) -> ConfidenceInterval:
     """Confidence interval for :func:`join_size_between`."""
+    estimate = join_size_between(snap_a, name_a, snap_b, name_b)
     return _interval(
-        join_size_between(snap_a, name_a, snap_b, name_b),
-        join_variance_between(snap_a, name_a, snap_b, name_b),
+        estimate,
+        join_variance_between(snap_a, name_a, snap_b, name_b, estimate=estimate),
         confidence,
         method,
     )
@@ -513,4 +642,4 @@ def _prefix_f2(snap: EngineSnapshot, name: str) -> float:
     relation = snap.relation(name)
     if relation.scanned >= 2:
         return snap.self_join_size(name)
-    return snap.sketch_view(name).second_moment()
+    return snap.moments(name).second_moment

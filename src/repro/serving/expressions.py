@@ -30,6 +30,10 @@ Variance bounds compose by Cauchy–Schwarz: for any dependence structure,
 ``Var(Σ Xᵢ) ≤ (Σ σᵢ)²``, so each term contributes the square root of its
 prefix variance bound (scaled by its coefficient) and the sum of
 standard deviations is squared.  Conservative, never anti-conservative.
+
+Each stream's ``F₂`` rows and their combined value come from the
+snapshot, which keeps them (:class:`~repro.engine.snapshot.RelationMoments`);
+an expression computes each pairwise inner product once.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.snapshot import join_scale_between
 from ..errors import ConfigurationError
-from ..sampling.unbiasing import join_scale, self_join_correction
 from ..sketches._combine import combine_estimates
 from ..variance.runtime import prefix_join_variance, prefix_self_join_variance
 
@@ -62,82 +66,40 @@ class ExpressionEstimate:
     variance_bound: float
 
 
-def _corrected_rows_f2(snapshot, name: str) -> np.ndarray:
-    """Per-row unbiased ``F₂`` estimates for one stream's frozen prefix."""
+def _f2_term(snapshot, name: str) -> tuple[np.ndarray, float]:
+    """One stream's per-row unbiased ``F₂`` and its standard-deviation bound."""
     relation = snapshot.relation(name)
-    correction = self_join_correction(relation.info())
-    rows = snapshot.sketch_view(name).row_second_moments()
-    return (
-        float(correction.scale) * rows
-        - float(correction.random_coefficient) * relation.scanned
-        - float(correction.constant)
-    )
-
-
-def _corrected_rows_join(snap_a, name_a: str, snap_b, name_b: str) -> np.ndarray:
-    """Per-row unbiased join estimates between two frozen prefixes."""
-    scale = float(
-        join_scale(snap_a.relation(name_a).info(), snap_b.relation(name_b).info())
-    )
-    rows = snap_a.sketch_view(name_a).row_inner_products(
-        snap_b.sketch_view(name_b)
-    )
-    return scale * rows
-
-
-def _term_sigma_f2(snapshot, name: str) -> float:
-    relation = snapshot.relation(name)
-    estimate = float(
-        combine_estimates(
-            _corrected_rows_f2(snapshot, name),
-            snapshot.template_header.get("combine", "median"),
-            snapshot.template_header.get("groups", 1),
-        )
-    )
+    moments = snapshot.moments(name)
     variance = prefix_self_join_variance(
-        estimate,
+        moments.corrected_second_moment,
         scanned=relation.scanned,
         total=relation.total_tuples,
         averaged=snapshot.averaged_estimators,
     )
-    return variance**0.5
+    return moments.corrected_rows, variance**0.5
 
 
-def _term_sigma_join(snap_a, name_a: str, snap_b, name_b: str) -> float:
+def _join_term(
+    snap_a, name_a: str, snap_b, name_b: str
+) -> tuple[np.ndarray, float, float]:
+    """Per-row unbiased join estimates, their combined value and σ bound."""
     rel_a = snap_a.relation(name_a)
     rel_b = snap_b.relation(name_b)
-    estimate = float(
-        combine_estimates(
-            _corrected_rows_join(snap_a, name_a, snap_b, name_b),
-            snap_a.template_header.get("combine", "median"),
-            snap_a.template_header.get("groups", 1),
-        )
-    )
-    f2_a = float(
-        combine_estimates(
-            _corrected_rows_f2(snap_a, name_a),
-            snap_a.template_header.get("combine", "median"),
-            snap_a.template_header.get("groups", 1),
-        )
-    )
-    f2_b = float(
-        combine_estimates(
-            _corrected_rows_f2(snap_b, name_b),
-            snap_b.template_header.get("combine", "median"),
-            snap_b.template_header.get("groups", 1),
-        )
-    )
+    view_a = snap_a.sketch_view(name_a)
+    scale = join_scale_between(snap_a, name_a, snap_b, name_b)
+    rows = scale * view_a.row_inner_products(snap_b.sketch_view(name_b))
+    estimate = float(combine_estimates(rows, view_a.combine, view_a.groups))
     variance = prefix_join_variance(
         estimate,
-        f2_a,
-        f2_b,
+        snap_a.moments(name_a).corrected_second_moment,
+        snap_b.moments(name_b).corrected_second_moment,
         scanned_f=rel_a.scanned,
         total_f=rel_a.total_tuples,
         scanned_g=rel_b.scanned,
         total_g=rel_b.total_tuples,
         averaged=min(snap_a.averaged_estimators, snap_b.averaged_estimators),
     )
-    return variance**0.5
+    return rows, estimate, variance**0.5
 
 
 def _check_streams(op: str, streams) -> list:
@@ -185,38 +147,28 @@ def evaluate_expression(op: str, streams) -> ExpressionEstimate:
     groups = header.get("groups", 1)
 
     if op == "intersection":
-        (snap_a, name_a), (snap_b, name_b) = streams
-        rows = _corrected_rows_join(snap_a, name_a, snap_b, name_b)
-        estimate = float(combine_estimates(rows, combine, groups))
-        sigma = _term_sigma_join(snap_a, name_a, snap_b, name_b)
+        _, estimate, sigma = _join_term(*streams[0], *streams[1])
         return ExpressionEstimate(op, estimate, sigma * sigma)
 
+    f2 = [_f2_term(snapshot, name) for snapshot, name in streams]
     if op == "set_union":
-        (snap_a, name_a), (snap_b, name_b) = streams
-        rows = (
-            _corrected_rows_f2(snap_a, name_a)
-            + _corrected_rows_f2(snap_b, name_b)
-            - _corrected_rows_join(snap_a, name_a, snap_b, name_b)
-        )
+        (rows_a, sigma_a), (rows_b, sigma_b) = f2
+        join_rows, _, join_sigma = _join_term(*streams[0], *streams[1])
+        rows = rows_a + rows_b - join_rows
+        sigma = sigma_a + sigma_b + join_sigma
         estimate = float(combine_estimates(rows, combine, groups))
-        sigma = (
-            _term_sigma_f2(snap_a, name_a)
-            + _term_sigma_f2(snap_b, name_b)
-            + _term_sigma_join(snap_a, name_a, snap_b, name_b)
-        )
         return ExpressionEstimate(op, estimate, sigma * sigma)
 
     # union (bag semantics): F2 of the monoid-merged stream.
-    rows = np.zeros(
-        streams[0][0].sketch_view(streams[0][1]).rows, dtype=np.float64
-    )
+    rows = np.zeros_like(f2[0][0])
     sigma = 0.0
-    for snapshot, name in streams:
-        rows += _corrected_rows_f2(snapshot, name)
-        sigma += _term_sigma_f2(snapshot, name)
-    for i, (snap_a, name_a) in enumerate(streams):
-        for snap_b, name_b in streams[i + 1 :]:
-            rows += 2.0 * _corrected_rows_join(snap_a, name_a, snap_b, name_b)
-            sigma += 2.0 * _term_sigma_join(snap_a, name_a, snap_b, name_b)
+    for f2_rows, f2_sigma in f2:
+        rows += f2_rows
+        sigma += f2_sigma
+    for i, pair_a in enumerate(streams):
+        for pair_b in streams[i + 1 :]:
+            join_rows, _, join_sigma = _join_term(*pair_a, *pair_b)
+            rows += 2.0 * join_rows
+            sigma += 2.0 * join_sigma
     estimate = float(combine_estimates(rows, combine, groups))
     return ExpressionEstimate(op, estimate, sigma * sigma)

@@ -44,7 +44,7 @@ import threading
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
-from ..errors import ConfigurationError, EstimationError, ReproError
+from ..errors import ConfigurationError, DomainError, EstimationError, ReproError
 from ..observability.observer import Observer, as_observer
 from ..variance.bounds import ConfidenceInterval
 from .admission import AdmissionController
@@ -211,7 +211,7 @@ class _QueryServer:
                 raise _HttpError(404, f"unknown query kind {kind!r}")
         except _HttpError:
             raise
-        except (ConfigurationError, EstimationError) as exc:
+        except (ConfigurationError, DomainError, EstimationError) as exc:
             raise _HttpError(400, str(exc)) from None
         except ReproError as exc:
             raise _HttpError(500, str(exc)) from None
@@ -227,12 +227,17 @@ class _QueryServer:
             payload = json.loads(body.decode("utf-8") or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError):
             raise _HttpError(400, "expression body must be JSON") from None
+        shape = 'expression body needs {"op": str, "streams": [names]}'
+        if not isinstance(payload, dict):
+            raise _HttpError(400, shape)
         op = payload.get("op")
         streams = payload.get("streams")
-        if not isinstance(op, str) or not isinstance(streams, list):
-            raise _HttpError(
-                400, 'expression body needs {"op": str, "streams": [names]}'
-            )
+        if (
+            not isinstance(op, str)
+            or not isinstance(streams, list)
+            or not all(isinstance(name, str) for name in streams)
+        ):
+            raise _HttpError(400, shape)
         return self.registry.expression_query(
             op, streams, confidence, method=interval_method
         )

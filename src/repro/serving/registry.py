@@ -338,7 +338,9 @@ class SketchRegistry:
         stream = self._stream(name)
         snapshot = stream.latest
         estimate = snapshot.point_frequency(name, key)
-        variance = snapshot.point_frequency_variance_bound(name, key)
+        variance = snapshot.point_frequency_variance_bound(
+            name, key, estimate=estimate
+        )
         result = QueryResult(
             op="point",
             estimate=estimate,
@@ -387,7 +389,9 @@ class SketchRegistry:
         snap_l = stream_l.latest
         snap_r = stream_r.latest
         estimate = join_size_between(snap_l, left, snap_r, right)
-        variance = join_variance_between(snap_l, left, snap_r, right)
+        variance = join_variance_between(
+            snap_l, left, snap_r, right, estimate=estimate
+        )
         result = QueryResult(
             op="join",
             estimate=estimate,

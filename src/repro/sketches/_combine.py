@@ -15,11 +15,13 @@ combine them (Section IV / refs [1], [2]):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["combine_estimates", "validate_combine"]
+__all__ = ["combine_estimates", "exact_median", "validate_combine"]
 
 _METHODS = ("mean", "median", "median-of-means")
 
@@ -44,6 +46,36 @@ def validate_combine(method: str, rows: int, groups: int) -> None:
         )
 
 
+def exact_median(values: np.ndarray):
+    """``np.median(values, axis=0)``, bit for bit, without its dispatch.
+
+    For float64 input: a 1-D array gives a float, a 2-D array the median
+    of each column.  NumPy takes the mean of the one or two middle order
+    statistics, and its sum starts from +0.0: a middle value of -0.0
+    comes back as +0.0, which a plain pick would not do (F-AGMS point
+    probes produce -0.0 for empty buckets, so served answers depend on
+    it).  A 1-D input whose sum is NaN (a NaN, or infinities of both
+    signs) and a 2-D input holding a NaN go to ``np.median`` itself,
+    which decides which NaN wins.
+    """
+    if values.ndim == 1:
+        items = values.tolist()
+        if math.isnan(sum(items)):
+            return float(np.median(values))
+        items.sort()
+        half = len(items) // 2
+        if len(items) % 2:
+            return 0.0 + items[half]
+        return (0.0 + items[half - 1] + items[half]) / 2
+    ordered = np.sort(values, axis=0)
+    if np.isnan(ordered[-1]).any():
+        return np.median(values, axis=0)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return 0.0 + ordered[half]
+    return (0.0 + ordered[half - 1] + ordered[half]) / 2
+
+
 def combine_estimates(values: np.ndarray, method: str, groups: int = 1) -> float:
     """Collapse per-row estimates into one number.
 
@@ -57,6 +89,5 @@ def combine_estimates(values: np.ndarray, method: str, groups: int = 1) -> float
     if method == "mean":
         return float(values.mean())
     if method == "median":
-        return float(np.median(values))
-    group_means = values.reshape(groups, -1).mean(axis=1)
-    return float(np.median(group_means))
+        return exact_median(values)
+    return exact_median(values.reshape(groups, -1).mean(axis=1))

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, DomainError
 from ..hashing import BucketHashFamily, EH3SignFamily, FourWiseSignFamily, SignFamily
 from ..kernels import get_backend
 from ..rng import SeedLike, as_seed_sequence, derive_seed
-from ._combine import combine_estimates, validate_combine
+from ._combine import combine_estimates, exact_median, validate_combine
 from .base import Sketch
 
 __all__ = ["FagmsSketch"]
@@ -149,11 +149,14 @@ class FagmsSketch(Sketch):
         several rows the median gives the classic ``±sqrt(F₂/buckets)``
         guarantee w.h.p.
         """
-        keys = np.asarray(keys, dtype=np.int64)
+        try:
+            keys = np.asarray(keys, dtype=np.int64)
+        except OverflowError:
+            raise DomainError("point-query keys must fit in int64") from None
         indices = self._bucket_hash.evaluate_all(keys)
         signs = self._signs.evaluate_all(keys)
         gathered = get_backend().gather(self._counters, indices)
-        return np.median(signs * gathered, axis=0)
+        return exact_median(signs * gathered)
 
     def point_estimate(self, key: int) -> float:
         """Unbiased estimate of a single key's frequency (median over rows)."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -171,6 +172,52 @@ class TestErrors:
             )
         )
         assert code == 400
+
+
+class TestBoundaryInputs:
+    """Malformed inputs get a JSON 400 and leave keep-alive usable."""
+
+    @pytest.mark.parametrize(
+        ("method", "target", "body"),
+        [
+            ("GET", "/v1/query/point?stream=a&key=-1", None),
+            ("GET", "/v1/query/point?stream=a&key=3000000000", None),
+            ("GET", "/v1/query/point?stream=a&key=99999999999999999999999", None),
+            ("POST", "/v1/query/expression", b"[1, 2]"),
+            ("POST", "/v1/query/expression", b'"str"'),
+            (
+                "POST",
+                "/v1/query/expression",
+                b'{"op": "union", "streams": [["a"], "b"]}',
+            ),
+        ],
+        ids=[
+            "negative-key",
+            "key-beyond-hash-domain",
+            "key-beyond-int64",
+            "expression-body-list",
+            "expression-body-string",
+            "expression-non-string-stream",
+        ],
+    )
+    def test_bad_input_is_json_400_on_a_live_connection(
+        self, service, method, target, body
+    ):
+        _, handle = service
+        conn = http.client.HTTPConnection(handle.host, handle.port, timeout=10)
+        try:
+            conn.request(method, target, body=body)
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 400
+            assert response.getheader("Connection") == "keep-alive"
+            assert payload["error"]
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+        finally:
+            conn.close()
 
 
 class TestAdmission:
