@@ -19,7 +19,6 @@ import pytest
 from repro.experiments import ExperimentScale
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 _SCALES = {
     "small": ExperimentScale.small,
@@ -53,17 +52,11 @@ def save_result():
 
 @pytest.fixture(scope="session")
 def save_bench():
-    """Persist a machine-readable ``BENCH_<name>.json`` baseline.
-
-    The canonical copy lives in ``benchmarks/results/``; a byte-identical
-    mirror is written to the repository root so baselines are visible
-    without digging (the convention ``docs/PERFORMANCE.md`` documents).
-    """
+    """Persist a machine-readable ``benchmarks/results/BENCH_<name>.json`` baseline."""
     RESULTS_DIR.mkdir(exist_ok=True)
 
     def _save(name: str, records) -> None:
         payload = json.dumps(records, indent=2) + "\n"
         (RESULTS_DIR / f"BENCH_{name}.json").write_text(payload)
-        (REPO_ROOT / f"BENCH_{name}.json").write_text(payload)
 
     return _save

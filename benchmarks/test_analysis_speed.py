@@ -6,8 +6,7 @@ cache directory — once cold (every file analyzed, cache populated) and
 once warm (every per-file entry and the project entry served from the
 cache) — and writes the machine-readable ``BENCH_analysis.json``
 baseline: records of ``{run, seconds, files, findings, cache_hits,
-cache_misses, speedup_vs_cold}``, written to ``benchmarks/results/``
-and mirrored at the repo root.
+cache_misses, speedup_vs_cold}``, written to ``benchmarks/results/``.
 
 The gate asserts warm >= 3x cold.  The real ratio on this tree is ~40x
 (the warm run is one JSON read plus hash checks); 3x leaves headroom

@@ -6,8 +6,8 @@ equivalent separate updates — and writes both a human-readable table and
 the machine-readable ``BENCH_kernels.json`` baseline: records of
 ``{sketch, batch, backend, tuples_per_sec}`` (fused rows add
 ``separate_tuples_per_sec`` and ``fused_speedup``), written to
-``benchmarks/results/`` and mirrored at the repo root, that
-``docs/PERFORMANCE.md`` explains how to read.
+``benchmarks/results/``, that ``docs/PERFORMANCE.md`` explains how to
+read.
 
 The ``smoke`` tests are the CI perf gates: tiny batches, asserting the
 default numpy backend never regresses below 0.8× the legacy reference

@@ -23,9 +23,8 @@ loop over the same chunks:
 
 Both sides are tight best-of-``REPS`` loops, so the ratio is stable in a
 way the end-to-end difference is not.  Results land in
-``BENCH_observability.json`` (``benchmarks/results/`` plus the repo-root
-mirror): records of ``{path, mode, seconds, tuples_per_sec,
-overhead_pct}``.
+``benchmarks/results/BENCH_observability.json``: records of ``{path,
+mode, seconds, tuples_per_sec, overhead_pct}``.
 """
 
 import time

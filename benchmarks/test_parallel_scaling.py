@@ -5,8 +5,8 @@ into a bulk F-AGMS sketch at 1, 2, and 4 workers — shared-memory key and
 counter blocks, chunked work-stealing dispatch — and writes the
 machine-readable ``BENCH_parallel.json`` baseline: records of
 ``{workers, shards, seconds, tuples_per_sec, speedup_vs_1, cpus,
-cpu_detection, shared_memory}``, written to ``benchmarks/results/`` and
-mirrored at the repo root, plus a human-readable table.
+cpu_detection, shared_memory}``, written to ``benchmarks/results/``,
+plus a human-readable table.
 
 Honest CPU accounting: the worker count a pool can *run* is bounded by
 the CPUs this process may actually use, which on shared/containerized

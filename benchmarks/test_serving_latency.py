@@ -30,8 +30,8 @@ noise-robust estimators over REPS back-to-back pairs: the best paired
 **wall-clock** ratio (both scans of a pair sample the same load
 window) and the ratio of best **process-CPU** times (immune to
 wall-clock stalls from off-process noise, and excludes the client
-subprocess).  Results land in ``BENCH_serving.json``
-(``benchmarks/results/`` + repo-root mirror).
+subprocess).  Results land in
+``benchmarks/results/BENCH_serving.json``.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The paper's motivating claim — "the sketching of streams can be sped-up by
 a factor of 10" at a 10% sampling rate — rests on skip-ahead sampling
 doing work only for kept tuples.  This bench measures end-to-end stream
-consumption (shedding + sketching) at several rates and checks that
-throughput grows substantially as p shrinks.
+consumption (shedding + sketching survivors weighted by 1/p) at several
+rates and checks that throughput grows substantially as p shrinks.
 
 ``test_kernel_update_speedup`` is the kernel layer's headline gate: the
 same end-to-end consumption at p=1 must run at least 3× faster through
@@ -17,9 +17,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import SheddingSketcher
 from repro.experiments.report import format_table
 from repro.kernels import native_available, use_backend
+from repro.resilience import AdaptiveSheddingSketcher
 from repro.sketches import FagmsSketch
 from repro.streams import zipf_relation
 
@@ -29,7 +29,7 @@ CHUNK = 65_536
 
 def _consume(relation, p, seed) -> float:
     """Seconds to push the whole stream through a shedding sketcher."""
-    sketcher = SheddingSketcher(FagmsSketch(1024, seed=seed), p=p, seed=seed)
+    sketcher = AdaptiveSheddingSketcher(FagmsSketch(1024, seed=seed), p=p, seed=seed)
     start = time.perf_counter()
     for chunk in relation.chunks(CHUNK):
         sketcher.process(chunk)

@@ -9,8 +9,9 @@ the piecewise-rate correction keeps the second-frequency-moment estimate
 (the classic DDoS indicator) unbiased across every rate change, and the
 confidence interval widens honestly while shedding is aggressive.
 
-Part 1 replays the paper's fixed-rate story (down to a 1% rate, accuracy
-barely moves while work drops by orders of magnitude).  Part 2 simulates
+Part 1 replays the paper's fixed-rate story with the same sketcher left
+at one rate (down to a 1% rate, accuracy barely moves while work drops
+by orders of magnitude).  Part 2 simulates
 a load burst — per-tuple processing cost spikes to several times the
 budget mid-stream — and prints, chunk window by chunk window, how the
 governor sheds into the burst, how the 95% interval widens, and how both
@@ -32,7 +33,6 @@ from repro import (
     AdaptiveSheddingSketcher,
     FagmsSketch,
     LoadGovernor,
-    SheddingSketcher,
     zipf_relation,
 )
 from repro.dataplane import (
@@ -67,7 +67,7 @@ def fixed_rate_sweep(stream, truth) -> None:
     print(f"{'keep rate':>9}  {'sketched':>10}  {'seconds':>8}  "
           f"{'estimate':>14}  {'rel.error':>9}")
     for rate in RATES:
-        sketcher = SheddingSketcher(
+        sketcher = AdaptiveSheddingSketcher(
             FagmsSketch(4_096, seed=SEED + 1), p=rate, seed=SEED + 2
         )
         pipeline = Pipeline(
@@ -80,7 +80,7 @@ def fixed_rate_sweep(stream, truth) -> None:
         elapsed = time.perf_counter() - start
         estimate = sketcher.self_join_size()
         error = abs(estimate - truth) / truth
-        print(f"{rate:>9.3f}  {sketcher.shedder.kept:>10,}  {elapsed:>8.3f}  "
+        print(f"{rate:>9.3f}  {sketcher.kept:>10,}  {elapsed:>8.3f}  "
               f"{estimate:>14,.0f}  {error:>9.2%}")
 
 
@@ -147,13 +147,17 @@ def ddos_check(stream) -> None:
         np.int64(0),
         stream.keys,
     )
-    attacked = SheddingSketcher(FagmsSketch(4_096, seed=SEED + 4), p=0.01, seed=SEED)
+    attacked = AdaptiveSheddingSketcher(
+        FagmsSketch(4_096, seed=SEED + 4), p=0.01, seed=SEED
+    )
     Pipeline(
         MicroBatchSource([attack_keys], CHUNK),
         sinks=[SketcherSink(attacked)],
         queue_depth=0,
     ).run()
-    baseline = SheddingSketcher(FagmsSketch(4_096, seed=SEED + 4), p=0.01, seed=SEED)
+    baseline = AdaptiveSheddingSketcher(
+        FagmsSketch(4_096, seed=SEED + 4), p=0.01, seed=SEED
+    )
     Pipeline(
         IterableSource(stream.chunks(CHUNK)),
         sinks=[SketcherSink(baseline)],

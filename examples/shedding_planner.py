@@ -17,8 +17,8 @@ Run:  python examples/shedding_planner.py
 import numpy as np
 
 from repro import (
+    AdaptiveSheddingSketcher,
     FagmsSketch,
-    SheddingSketcher,
     plan_shedding_rate,
     predict_relative_error,
     zipf_relation,
@@ -53,7 +53,7 @@ def main() -> None:
     for run in range(runs):
         fresh = zipf_relation(300_000, 30_000, skew=1.0, seed=1_000 + run)
         truth = fresh.self_join_size()
-        sketcher = SheddingSketcher(
+        sketcher = AdaptiveSheddingSketcher(
             FagmsSketch(BUCKETS, seed=2_000 + run),
             p=plan.keep_probability,
             seed=3_000 + run,

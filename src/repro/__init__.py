@@ -39,7 +39,6 @@ from .core import (
     LoadShedder,
     SelfJoinEstimate,
     SheddingPlan,
-    SheddingSketcher,
     estimate_join_size,
     estimate_self_join_size,
     join_interval,
@@ -170,7 +169,6 @@ __all__ = [
     "join_interval",
     "self_join_interval",
     "LoadShedder",
-    "SheddingSketcher",
     "GenerativeModelEstimator",
     "SheddingPlan",
     "plan_shedding_rate",

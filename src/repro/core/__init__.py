@@ -8,8 +8,8 @@ sampling (:mod:`repro.sampling`), and the variance theory
 * :mod:`~repro.core.estimators` — build a sketch over a sample of a
   relation and produce unbiased size-of-join / self-join-size estimates
   with optional theory-backed confidence intervals;
-* :mod:`~repro.core.load_shedding` — streaming Bernoulli shedding in front
-  of a sketch with skip-ahead sampling (Section VI-A);
+* :mod:`~repro.core.load_shedding` — streaming Bernoulli shedding with
+  skip-ahead sampling and its rate ledger (Section VI-A);
 * :mod:`~repro.core.iid` — estimating properties of a generative model
   from a stream of i.i.d. (with-replacement) samples (Section VI-B);
 * online aggregation (Section VI-C) lives in :mod:`repro.engine`.
@@ -26,7 +26,7 @@ from .estimators import (
     sketch_over_sample,
 )
 from .iid import GenerativeModelEstimator
-from .load_shedding import LoadShedder, SheddingSketcher
+from .load_shedding import LoadShedder
 from .planning import SheddingPlan, plan_shedding_rate, predict_relative_error
 from .sampling_estimators import (
     sample_join_interval,
@@ -45,7 +45,6 @@ __all__ = [
     "join_interval",
     "self_join_interval",
     "LoadShedder",
-    "SheddingSketcher",
     "GenerativeModelEstimator",
     "SheddingPlan",
     "plan_shedding_rate",

@@ -3,16 +3,21 @@
 One scan loop for every workload (ROADMAP item 5).  Build a
 :class:`Pipeline` from pluggable stages instead of hand-rolling ingest::
 
-    from repro.dataplane import FileSource, Pipeline, ShedOperator, SketcherSink
+    from repro.dataplane import FileSource, Pipeline, SketcherSink
 
+    # Survivors are weighted by 1/p: unbiased while the governor retunes p.
+    sketcher = AdaptiveSheddingSketcher(FagmsSketch(4096, seed=1), seed=7)
     pipeline = Pipeline(
         FileSource("stream.rprs", chunk_size=8192),
-        ShedOperator(p=0.25, seed=7),
         sinks=[SketcherSink(sketcher)],
         governor=LoadGovernor(2e-6),
         observer=observer,
     )
     result = pipeline.run()
+    f2 = sketcher.self_join_size()
+
+A raw sketch behind a fixed-rate :class:`ShedOperator` is unbiased through
+the shed draw instead: ``estimate_self_join_size(sketch, shed.shedder.info())``.
 
 Every stage rides the library's existing seams — sealed
 :class:`~repro.resilience.runtime.ChunkEnvelope` cursors (exactly-once),

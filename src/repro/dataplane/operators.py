@@ -10,7 +10,7 @@ Shipped operators:
 
 * :class:`FilterOperator` / :class:`MapOperator` — vectorized predicate /
   transform on the tuple batch;
-* :class:`ShedOperator` — Bernoulli load shedding via
+* :class:`ShedOperator` — fixed-rate Bernoulli load shedding via
   :class:`~repro.core.load_shedding.LoadShedder` (at ``p = 1`` the
   envelope passes through untouched and no RNG is consumed, preserving
   bit-identity);
@@ -110,47 +110,30 @@ class MapOperator(Operator):
 
 
 class ShedOperator(Operator):
-    """Bernoulli load shedding as a pipeline stage.
+    """Fixed-rate Bernoulli load shedding as a pipeline stage.
 
     Wraps a :class:`~repro.core.load_shedding.LoadShedder`; survivors
     are resealed under the same sequence number.  At ``p = 1`` the
     original envelope passes through untouched and the shedder's RNG is
     not consumed, so an unshedded pipeline stays bit-identical to one
-    without the stage.  Exposes ``rate`` / ``set_rate`` / ``last_kept``,
-    the duck-typed contract the pipeline's
-    :class:`~repro.resilience.governor.LoadGovernor` wiring retunes.
+    without the stage.  Survivors carry no weights, so the rate stays
+    fixed and ``shedder.info()`` is the draw the paper's Props 13–14
+    corrections unbias; governed shedding is a ``SketcherSink`` over an
+    ``AdaptiveSheddingSketcher``.
     """
 
     name = "shed"
 
     def __init__(self, p: float = 1.0, seed: SeedLike = None) -> None:
         self.shedder = LoadShedder(p, seed)
-        self.seen = 0
-        self.kept = 0
-        self.last_kept = 0
-
-    @property
-    def rate(self) -> float:
-        """The keep-probability currently in force."""
-        return self.shedder.p
-
-    def set_rate(self, p: float) -> None:
-        """Retune the keep-probability at an envelope boundary."""
-        self.shedder.set_p(p)
 
     def process(self, envelope: ChunkEnvelope) -> Iterator[ChunkEnvelope]:
         """Shed the batch; pass through untouched at ``p = 1``."""
-        keys = np.asarray(envelope.keys)
-        self.seen += int(keys.size)
+        survivors = self.shedder.filter(envelope.keys)
         if self.shedder.p >= 1.0:
-            self.last_kept = int(keys.size)
-            self.kept += self.last_kept
             yield envelope
-            return
-        survivors = self.shedder.filter(keys)
-        self.last_kept = int(survivors.size)
-        self.kept += self.last_kept
-        yield make_envelope(envelope.sequence, survivors)
+        else:
+            yield make_envelope(envelope.sequence, survivors)
 
 
 class SketchUpdateOperator(Operator):

@@ -26,8 +26,9 @@ Semantics:
 * **Governor wiring** — give the pipeline a
   :class:`~repro.resilience.governor.LoadGovernor` and it retunes the
   first stage exposing ``rate`` / ``set_rate`` / ``last_kept`` (a
-  :class:`~repro.dataplane.operators.ShedOperator`,
-  :class:`~repro.dataplane.sinks.SketcherSink`, …) from each
+  :class:`~repro.dataplane.sinks.SketcherSink` over an
+  :class:`~repro.resilience.adaptive.AdaptiveSheddingSketcher`, whose
+  weighted survivors stay unbiased across rate changes) from each
   envelope's measured cost.
 * **Seams for free** — a :class:`~repro.resilience.chaos.ChaosInjector`
   wraps the source, and an :class:`~repro.observability.Observer`
@@ -216,8 +217,8 @@ class Pipeline:
         self.retune = retune
         if governor is not None and retune is None:
             raise ConfigurationError(
-                "a governed pipeline needs a retunable stage (ShedOperator, "
-                "SketcherSink, ...); none found"
+                "a governed pipeline needs a retunable stage (a SketcherSink "
+                "over an AdaptiveSheddingSketcher, ...); none found"
             )
         # Sink-only chains whose sinks all run their own cursor (e.g. a
         # StreamRuntime) delegate verification instead of doubling it.

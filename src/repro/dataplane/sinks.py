@@ -146,10 +146,9 @@ class CallbackSink(Sink):
 class SketcherSink(Sink):
     """Terminate the stream in a sketcher's ``process(keys)`` method.
 
-    Works with :class:`~repro.resilience.adaptive.AdaptiveSheddingSketcher`
-    and :class:`~repro.core.load_shedding.SheddingSketcher`.  When the
-    sketcher is adaptive, the sink re-exports ``rate`` / ``set_rate`` /
-    ``last_kept`` so the pipeline's governor wiring can retune it.
+    Built for :class:`~repro.resilience.adaptive.AdaptiveSheddingSketcher`:
+    the sink re-exports its ``rate`` / ``set_rate`` plus ``last_kept`` so
+    the pipeline's governor wiring can retune it.
     """
 
     name = "sketcher"

@@ -51,6 +51,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.load_shedding import shedding_correction
 from ..errors import ConfigurationError, EstimationError
 from ..observability.observer import (
     Observer,
@@ -145,12 +146,12 @@ class ShardedScanResult:
 
         Workers insert kept tuples Horvitz–Thompson-weighted, so the merged
         counters estimate the *unsampled* stream directly; the additive
-        correction ``A = N·(1−p)/p`` (Prop 14's piecewise form, computed
-        from the aggregated ledger) removes the sampling-noise inflation
-        of the second moment.
+        correction ``A = N·(1−p)/p`` (:func:`shedding_correction` over the
+        aggregated ledger, one segment at the shards' common rate) removes
+        the sampling-noise inflation of the second moment.
         """
         info = self.info()
-        correction = info.population_size * (1.0 - info.probability) / info.probability
+        correction = shedding_correction([(info.probability, info.population_size)])
         return self.sketch.second_moment() - correction
 
     def join_size(self, other: "ShardedScanResult") -> float:

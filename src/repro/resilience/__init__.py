@@ -4,9 +4,9 @@ This package hardens the reproduction for long-running deployments:
 
 * :mod:`~repro.resilience.checkpoint` — durable, atomic, CRC-verified
   snapshots of full pipeline state;
-* :mod:`~repro.resilience.schedule` / :mod:`~repro.resilience.adaptive` —
-  piecewise-rate Bernoulli load shedding with unbiased estimates and
-  rate-aware confidence bounds (generalizing the paper's Props 13–14);
+* :mod:`~repro.resilience.adaptive` — piecewise-rate Bernoulli load
+  shedding with unbiased estimates and rate-aware confidence bounds
+  (generalizing the paper's Props 13–14);
 * :mod:`~repro.resilience.governor` — a feedback controller that retunes
   the shedding rate to a processing budget;
 * :mod:`~repro.resilience.hardening` — bad-record policies and retrying
@@ -52,7 +52,6 @@ from .runtime import (
     make_envelope,
     verify_payload,
 )
-from .schedule import RateSchedule, RateSegment
 
 __all__ = [
     "AdaptiveSheddingSketcher",
@@ -87,6 +86,4 @@ __all__ = [
     "envelope_stream",
     "make_envelope",
     "verify_payload",
-    "RateSchedule",
-    "RateSegment",
 ]

@@ -1,20 +1,16 @@
 """Adaptive load shedding: a sketch fed at a *varying* Bernoulli rate.
 
-:class:`AdaptiveSheddingSketcher` generalizes
-:class:`repro.core.load_shedding.SheddingSketcher` from the paper's fixed
-keep-probability to the piecewise-rate design of
-:mod:`repro.resilience.schedule`: the rate may be retuned between chunks
-(by a :class:`~repro.resilience.governor.LoadGovernor` or manually) and
-the estimates stay unbiased for the full stream at every moment.
+:class:`AdaptiveSheddingSketcher` is the library's shedding sketcher.  At
+a fixed keep-probability it is the paper's Section VI-A sketcher; the
+rate may also be retuned between chunks (by a
+:class:`~repro.resilience.governor.LoadGovernor` or manually) and the
+estimates stay unbiased for the full stream at every moment.
 
-Mechanics: each kept tuple is inserted Horvitz–Thompson-weighted by
-``1/p_s`` (the rate in force when it arrived), so the sketch counters are
-unbiased for the *unsampled* stream directly; the self-join estimate
-subtracts the deterministic piecewise correction ``A`` tracked by the
-:class:`~repro.resilience.schedule.RateSchedule`.  Confidence intervals
-use the schedule's widened variance bound, so they remain valid across
-rate changes — degrading (widening) gracefully as shedding gets more
-aggressive.
+Each kept tuple is inserted Horvitz–Thompson-weighted by ``1/p_s`` (the
+rate in force when it arrived), so the counters are unbiased for the
+*unsampled* stream; the self-join estimate subtracts the piecewise
+correction, and intervals use the widened variance bound, both read from
+the :class:`~repro.core.load_shedding.LoadShedder`'s rate ledger.
 """
 
 from __future__ import annotations
@@ -22,13 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.load_shedding import LoadShedder
-from ..errors import ConfigurationError
+from ..errors import CheckpointError, ConfigurationError
 from ..rng import SeedLike
 from ..sketches.agms import AgmsSketch
 from ..sketches.base import Sketch
 from ..sketches.fagms import FagmsSketch
 from ..variance.bounds import ConfidenceInterval, chebyshev_interval, clt_interval
-from .schedule import RateSchedule
 
 __all__ = ["AdaptiveSheddingSketcher", "averaged_estimator_count"]
 
@@ -60,18 +55,16 @@ def averaged_estimator_count(sketch: Sketch) -> int:
 class AdaptiveSheddingSketcher:
     """A sketch behind a Bernoulli shedder whose rate may change mid-stream.
 
-    Drop-in generalization of
-    :class:`~repro.core.load_shedding.SheddingSketcher`: with the rate
-    never changed and ``p = 1`` the update path is bit-identical to
-    feeding the sketch directly.
+    Rate, tallies and corrections all come from :attr:`shedder`.  At
+    ``p = 1`` the update path is bit-identical to feeding the sketch
+    directly.
     """
 
-    __slots__ = ("sketch", "shedder", "schedule")
+    __slots__ = ("sketch", "shedder")
 
     def __init__(self, sketch: Sketch, p: float = 1.0, seed: SeedLike = None) -> None:
         self.sketch = sketch
         self.shedder = LoadShedder(p, seed)
-        self.schedule = RateSchedule(p)
 
     # ------------------------------------------------------------------
     # Streaming
@@ -80,17 +73,17 @@ class AdaptiveSheddingSketcher:
     @property
     def rate(self) -> float:
         """The keep-probability currently in force."""
-        return self.schedule.rate
+        return self.shedder.p
 
     @property
     def seen(self) -> int:
         """Total tuples that arrived."""
-        return self.schedule.seen
+        return self.shedder.seen
 
     @property
     def kept(self) -> int:
         """Total tuples that survived shedding and were sketched."""
-        return self.schedule.kept
+        return self.shedder.kept
 
     def process(self, keys) -> int:
         """Consume one chunk of the raw stream; returns tuples sketched.
@@ -100,8 +93,6 @@ class AdaptiveSheddingSketcher:
         At ``p = 1`` the unweighted integer fast path is used, so an
         unshedded adaptive sketcher matches a plain sketch bit for bit.
         """
-        keys = np.asarray(keys)
-        arrived = int(keys.size)
         p = self.shedder.p
         kept = self.shedder.filter(keys)
         if kept.size:
@@ -111,7 +102,6 @@ class AdaptiveSheddingSketcher:
                 self.sketch.update(
                     kept, np.full(kept.size, 1.0 / p, dtype=np.float64)
                 )
-        self.schedule.record(arrived, int(kept.size))
         return int(kept.size)
 
     def set_rate(self, p: float) -> None:
@@ -119,10 +109,9 @@ class AdaptiveSheddingSketcher:
 
         Validates *p* first (state is untouched on rejection), redraws the
         shedder's carried skip-state under the new rate, and opens a new
-        segment in the schedule.
+        segment in its rate ledger.
         """
         self.shedder.set_p(p)
-        self.schedule.set_rate(p)
 
     # ------------------------------------------------------------------
     # Estimates
@@ -131,7 +120,7 @@ class AdaptiveSheddingSketcher:
     def self_join_size(self) -> float:
         """Unbiased full-stream ``F₂`` estimate (piecewise Prop 14)."""
         averaged_estimator_count(self.sketch)  # reject min-combined sketches
-        return self.sketch.second_moment() - self.schedule.correction()
+        return self.sketch.second_moment() - self.shedder.correction()
 
     def join_size(self, other: "AdaptiveSheddingSketcher") -> float:
         """Unbiased full-stream ``|F ⋈ G|`` estimate (piecewise Prop 13).
@@ -147,13 +136,13 @@ class AdaptiveSheddingSketcher:
     ) -> ConfidenceInterval:
         """Confidence interval for :meth:`self_join_size`, valid across rates.
 
-        Uses the schedule's conservative piecewise variance bound; the
+        Uses the shedder's conservative piecewise variance bound; the
         default distribution-independent Chebyshev bound keeps empirical
         coverage at or above nominal for any stream.  ``method="clt"``
         gives the narrower normal-approximation interval.
         """
         estimate = self.self_join_size()
-        variance = self.schedule.variance_bound(
+        variance = self.shedder.variance_bound(
             estimate, averaged_estimator_count(self.sketch)
         )
         if method == "chebyshev":
@@ -169,24 +158,31 @@ class AdaptiveSheddingSketcher:
     # ------------------------------------------------------------------
 
     def state(self) -> dict:
-        """JSON-serializable shedder + schedule state (sketch excluded).
+        """JSON-serializable shedder state (sketch excluded).
 
-        The sketch's counters/seeds are persisted separately through
-        :mod:`repro.sketches.serialization`; this covers everything else
-        needed to resume bit-identically.
+        The rate ledger sits under ``schedule``, apart from the rest of
+        the shedder, as in every checkpoint written so far.  The sketch's
+        counters/seeds are persisted separately through
+        :mod:`repro.sketches.serialization`.
         """
-        return {
-            "shedder": self.shedder.state(),
-            "schedule": self.schedule.to_state(),
-        }
+        shedder = self.shedder.state()
+        segments = shedder.pop("segments")
+        return {"shedder": shedder, "schedule": {"segments": segments}}
 
     @classmethod
     def restore(cls, sketch: Sketch, state: dict) -> "AdaptiveSheddingSketcher":
-        """Rebuild from a reconstructed sketch and a :meth:`state` snapshot."""
+        """Rebuild from a reconstructed sketch and a :meth:`state` snapshot.
+
+        Raises :class:`~repro.errors.CheckpointError` when the snapshot is
+        malformed (see :meth:`LoadShedder.restore`).
+        """
+        try:
+            shedder = {**state["shedder"], "segments": state["schedule"]["segments"]}
+        except (KeyError, TypeError) as error:
+            raise CheckpointError(f"malformed shedding state: {error!r}") from error
         sketcher = object.__new__(cls)
         sketcher.sketch = sketch
-        sketcher.shedder = LoadShedder.restore(state["shedder"])
-        sketcher.schedule = RateSchedule.from_state(state["schedule"])
+        sketcher.shedder = LoadShedder.restore(shedder)
         return sketcher
 
     def __repr__(self) -> str:

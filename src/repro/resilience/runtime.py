@@ -12,8 +12,8 @@ resilience stack:
   at-least-once delivery), which is what makes replay-based recovery
   idempotent.
 * **Durable checkpoints** — every ``checkpoint_every`` chunks the full
-  pipeline state (sketch header + counters, shedder RNG/skip state, rate
-  schedule, governor cost model, stream cursor) is snapshotted through
+  pipeline state (sketch header + counters, shedder RNG/skip state and
+  rate ledger, governor cost model, stream cursor) is snapshotted through
   :class:`~repro.resilience.checkpoint.CheckpointManager`.
 * **Recovery** — :meth:`StreamRuntime.recover` rebuilds the runtime from
   the newest intact checkpoint; replaying the stream from the beginning
@@ -394,7 +394,7 @@ class StreamRuntime:
             sketch.load_counters(counters)
             runtime = object.__new__(cls)
             runtime.sketcher = AdaptiveSheddingSketcher.restore(
-                sketch, snapshot.state["sketcher"]
+                sketch, snapshot.state.get("sketcher")
             )
             runtime.governor = governor
             if governor is not None and "governor" in snapshot.state:

@@ -76,7 +76,7 @@ def prefix_self_join_variance(
     Combines the widened sampling surrogate with the sketch term of the
     combined estimator — ``(2/n)·(F₂² + V_sampling)`` with ``n`` averaged
     basic estimators (buckets for F-AGMS), the same composition as
-    :meth:`repro.resilience.schedule.RateSchedule.variance_bound` —
+    :meth:`repro.core.load_shedding.LoadShedder.variance_bound` —
     evaluated with the estimate standing in for ``F₂``.
     """
     alpha = _check_prefix(scanned, total)

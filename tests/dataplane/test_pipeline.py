@@ -13,7 +13,6 @@ from repro.dataplane import (
     SketchUpdateOperator,
     SketcherSink,
 )
-from repro.core.load_shedding import SheddingSketcher
 from repro.errors import ConfigurationError, StreamIntegrityError
 from repro.observability import Observer
 from repro.resilience import (
@@ -128,8 +127,8 @@ def test_producer_failure_propagates_in_threaded_mode():
 
 def test_governor_retunes_the_shed_stage():
     clock = ManualClock()
-    shed = ShedOperator(1.0, seed=44)
-    collect = CollectSink()
+    sketcher = AdaptiveSheddingSketcher(FagmsSketch(64, 2, seed=43), 1.0, seed=44)
+    shed = SketcherSink(sketcher)
     governor = LoadGovernor(0.001, smoothing=1.0)
 
     def slow(envelope):
@@ -139,8 +138,7 @@ def test_governor_retunes_the_shed_stage():
 
     pipeline = Pipeline(
         IterableSource(_chunks(5)),
-        shed,
-        sinks=[CallbackSink(slow), collect],
+        sinks=[shed, CallbackSink(slow)],
         governor=governor,
         clock=clock,
         queue_depth=0,
@@ -148,7 +146,9 @@ def test_governor_retunes_the_shed_stage():
     result = pipeline.run()
     assert pipeline.retune is shed
     assert result.retunes >= 1
-    assert shed.rate < 1.0  # the governor pulled the keep-rate down
+    assert sketcher.rate < 1.0  # the governor pulled the keep-rate down
+    # Every rate the governor chose is on the sketcher's ledger.
+    assert len(sketcher.shedder.segments) == result.retunes + 1
 
 
 def test_governor_finds_a_retunable_sink():
@@ -178,16 +178,22 @@ def test_explicit_retune_stage_must_honour_the_contract():
         Pipeline(IterableSource([]), sinks=[CollectSink()], retune=object())
 
 
-def test_plain_shedding_sketcher_is_not_retunable():
-    # SheddingSketcher has no rate accessors; the pipeline must neither
-    # auto-discover it nor let a governor drive it.
-    sink = SketcherSink(SheddingSketcher(FagmsSketch(64, 2, seed=47), 0.5, seed=48))
+def test_shed_operator_is_not_retunable():
+    # A shed stage forwards unweighted survivors, which no downstream
+    # sketch can unbias once the rate changes: it keeps no rate controls
+    # or tallies of its own, and a governor can neither find nor drive it.
+    shed = ShedOperator(0.5, seed=48)
+    for attr in ("rate", "set_rate", "last_kept", "seen", "kept"):
+        assert not hasattr(shed, attr)
     with pytest.raises(ConfigurationError):
         Pipeline(
             IterableSource([]),
-            sinks=[sink],
+            shed,
+            sinks=[CollectSink()],
             governor=LoadGovernor(1.0),
         )
+    with pytest.raises(ConfigurationError):
+        Pipeline(IterableSource([]), shed, retune=shed)
 
 
 def test_rejects_bad_configuration():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.load_shedding import LoadShedder, SheddingSketcher
+from repro.core.load_shedding import LoadShedder
 from repro.dataplane import (
     Branch,
     CallbackSink,
@@ -65,18 +65,14 @@ class TestOperators:
     def test_shed_at_full_rate_passes_through_without_rng(self):
         envelope = _envelope()
         shed = ShedOperator(1.0, seed=11)
+        rng_state = shed.shedder.state()["rng_state"]
         (out,) = shed.process(envelope)
         assert out is envelope  # untouched, not resealed
-        assert shed.last_kept == envelope.count
-        # The RNG was not consumed: after dropping to p < 1, survivors
-        # match a fresh shedder that never saw the p = 1 prefix.
-        shed.set_rate(0.5)
-        baseline = LoadShedder(0.5, seed=11)
-        batch = np.asarray(_envelope(seed=5, n=64).keys)
-        assert np.array_equal(
-            np.asarray(next(iter(shed.process(make_envelope(1, batch)))).keys),
-            baseline.filter(batch),
-        )
+        assert shed.shedder.state()["rng_state"] == rng_state  # no draws
+        # The shedder still tallies the draw its info() describes.
+        info = shed.shedder.info()
+        assert info.population_size == info.sample_size == envelope.count
+        assert info.probability == 1.0
 
     def test_shed_below_full_rate_matches_load_shedder(self):
         batch = np.asarray(_envelope(seed=6, n=128).keys)
@@ -85,8 +81,8 @@ class TestOperators:
         assert np.array_equal(
             verify_payload(out), LoadShedder(0.3, seed=21).filter(batch)
         )
-        assert shed.seen == 128
-        assert shed.kept == out.count
+        assert shed.shedder.seen == 128
+        assert shed.shedder.kept == out.count
 
     def test_sketch_update_feeds_sketch_and_forwards(self):
         sketch = FagmsSketch(64, 3, seed=31)
@@ -177,15 +173,15 @@ class TestSinks:
         assert flushed == [True]
 
     def test_sketcher_sink_terminates_in_a_shedding_sketcher(self):
-        sketcher = SheddingSketcher(FagmsSketch(64, 3, seed=51), 0.5, seed=52)
+        sketcher = AdaptiveSheddingSketcher(
+            FagmsSketch(64, 3, seed=51), 0.5, seed=52
+        )
         sink = SketcherSink(sketcher)
         envelope = _envelope(n=100)
         sink.accept(envelope)
         assert 0 < sink.kept <= 100
-        assert sink.last_kept == sink.kept
-        # A plain SheddingSketcher has no rate accessors: the sink must
-        # not claim retunability it cannot deliver.
-        assert not hasattr(sink, "rate")
+        assert sink.last_kept == sink.kept == sketcher.kept
+        assert sketcher.seen == 100
 
     def test_sketcher_sink_exposes_adaptive_rate_controls(self):
         sink = SketcherSink(

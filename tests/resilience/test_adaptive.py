@@ -9,13 +9,13 @@ governor keeps per-chunk processing *under budget* through a burst.
 import numpy as np
 import pytest
 
+from repro.core.load_shedding import LoadShedder
 from repro.errors import ConfigurationError
 from repro.resilience.adaptive import (
     AdaptiveSheddingSketcher,
     averaged_estimator_count,
 )
 from repro.resilience.governor import LoadGovernor
-from repro.resilience.schedule import RateSchedule
 from repro.sketches.agms import AgmsSketch
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.fagms import FagmsSketch
@@ -29,73 +29,74 @@ def _true_f2(chunks, domain=1000):
 
 
 # ----------------------------------------------------------------------
-# RateSchedule bookkeeping
+# The shedder's rate ledger
 # ----------------------------------------------------------------------
 
 
+def _shedder(p, *feeds, seed=0):
+    """A shedder fed ``feeds``: tuple counts, or floats opening a segment."""
+    shedder = LoadShedder(p, seed=seed)
+    for feed in feeds:
+        if isinstance(feed, float):
+            shedder.set_p(feed)
+        else:
+            shedder.filter(np.arange(feed))
+    return shedder
+
+
 def test_single_segment_correction_matches_prop14_form():
-    schedule = RateSchedule(0.25)
-    schedule.record(1000, 240)
-    assert schedule.correction() == pytest.approx(1000 * 0.75 / 0.25)
+    shedder = _shedder(0.25, 1000)
+    assert shedder.correction() == pytest.approx(1000 * 0.75 / 0.25)
 
 
 def test_rate_changes_open_segments_and_compose():
-    schedule = RateSchedule(0.5)
-    schedule.record(100, 52)
-    schedule.set_rate(0.1)
-    schedule.record(200, 18)
-    assert len(schedule.segments) == 2
-    assert schedule.seen == 300 and schedule.kept == 70
-    assert schedule.min_rate() == pytest.approx(0.1)
+    shedder = _shedder(0.5, 100, 0.1, 200, seed=3)
+    first, second = shedder.segments
+    assert (first[0], first[1]) == (0.5, 100)
+    assert (second[0], second[1]) == (0.1, 200)
+    assert first[2] + second[2] == shedder.kept
+    assert shedder.seen == 300
+    assert shedder.min_rate() == pytest.approx(0.1)
     expected = 100 * 0.5 / 0.5 + 200 * 0.9 / 0.1
-    assert schedule.correction() == pytest.approx(expected)
+    assert shedder.correction() == pytest.approx(expected)
 
 
 def test_empty_segment_is_rerated_in_place():
-    schedule = RateSchedule(0.5)
-    schedule.set_rate(0.2)
-    schedule.set_rate(0.9)
-    assert len(schedule.segments) == 1
-    assert schedule.rate == pytest.approx(0.9)
+    shedder = _shedder(0.5, 0.2, 0.9)
+    assert len(shedder.segments) == 1
+    assert shedder.p == pytest.approx(0.9)
 
 
 def test_state_round_trip():
-    schedule = RateSchedule(0.5)
-    schedule.record(100, 52)
-    schedule.set_rate(0.1)
-    schedule.record(200, 18)
-    clone = RateSchedule.from_state(schedule.to_state())
-    assert clone.correction() == pytest.approx(schedule.correction())
+    shedder = _shedder(0.5, 100, 0.1, 200, seed=4)
+    clone = LoadShedder.restore(shedder.state())
+    assert clone.segments == shedder.segments
+    assert clone.correction() == pytest.approx(shedder.correction())
     assert clone.variance_bound(1e6, 64) == pytest.approx(
-        schedule.variance_bound(1e6, 64)
+        shedder.variance_bound(1e6, 64)
     )
 
 
 def test_variance_bound_at_p_one_is_pure_sketch():
-    schedule = RateSchedule(1.0)
-    schedule.record(5000, 5000)
+    shedder = _shedder(1.0, 5000)
     f2 = 2.5e5
-    assert schedule.variance_bound(f2, 100) == pytest.approx(2.0 / 100 * f2**2)
+    assert shedder.variance_bound(f2, 100) == pytest.approx(2.0 / 100 * f2**2)
 
 
 def test_variance_bound_widens_as_rates_drop():
-    lax = RateSchedule(1.0)
-    lax.record(1000, 1000)
-    tight = RateSchedule(1.0)
-    tight.record(500, 500)
-    tight.set_rate(0.1)
-    tight.record(500, 50)
+    lax = _shedder(1.0, 1000)
+    tight = _shedder(1.0, 500, 0.1, 500)
     assert tight.variance_bound(1e5, 64) > lax.variance_bound(1e5, 64)
 
 
 def test_rate_validation():
     with pytest.raises(ConfigurationError):
-        RateSchedule(0.0)
-    schedule = RateSchedule(0.5)
+        LoadShedder(0.0)
+    shedder = LoadShedder(0.5)
     with pytest.raises(ConfigurationError):
-        schedule.set_rate(1.5)
+        shedder.set_p(1.5)
     with pytest.raises(ConfigurationError):
-        schedule.record(10, 11)
+        shedder.variance_bound(1e5, 0)
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,14 @@ the final counters must equal an uninterrupted run's bit for bit
 (``np.array_equal``, not ``allclose``).
 """
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.errors import CheckpointError, StreamIntegrityError
 from repro.kernels import backend_name, native_available, set_backend
+from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.runtime import StreamRuntime, envelope_stream, make_envelope
 from repro.sketches.agms import AgmsSketch
 from repro.sketches.countmin import CountMinSketch
@@ -145,3 +148,39 @@ def test_gap_in_sequence_raises(stream_chunks):
 def test_recover_requires_a_checkpoint(tmp_path):
     with pytest.raises(CheckpointError, match="no usable checkpoint"):
         StreamRuntime.recover(tmp_path / "empty")
+
+
+#: Ways a checkpoint's shedder state can be malformed: each edits the
+#: ``sketcher`` record of a valid two-segment checkpoint in place.
+MALFORMED_SHEDDER_STATE = {
+    "until_next missing": lambda s: s["shedder"].pop("until_next"),
+    "rng_state without state": lambda s: s["shedder"]["rng_state"].pop("state"),
+    "segment seen missing": lambda s: s["schedule"]["segments"][0].pop("seen"),
+    "segment p a string": lambda s: s["schedule"]["segments"][0].update(p="0.5"),
+    "segment tallies disagree": lambda s: s["schedule"]["segments"][0].update(
+        seen=s["schedule"]["segments"][0]["seen"] + 5
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_SHEDDER_STATE))
+def test_malformed_shedder_state_is_a_checkpoint_error(
+    tmp_path, fault, stream_chunks
+):
+    runtime = StreamRuntime(
+        FagmsSketch(buckets=64, rows=3, seed=17),
+        p=0.5,
+        seed=1234,
+        checkpoint_dir=tmp_path,
+    )
+    runtime.run(list(stream_chunks[:5]))
+    runtime.sketcher.set_rate(0.25)
+    runtime.run(list(stream_chunks[:10]))
+    runtime.checkpoint()
+    manager = CheckpointManager(tmp_path)
+    snapshot = manager.latest()
+    state = copy.deepcopy(snapshot.state)
+    MALFORMED_SHEDDER_STATE[fault](state["sketcher"])
+    manager.save(position=snapshot.position, state=state, arrays=snapshot.arrays)
+    with pytest.raises(CheckpointError):
+        StreamRuntime.recover(tmp_path)

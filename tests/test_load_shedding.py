@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import LoadShedder, SheddingSketcher
-from repro.errors import ConfigurationError, InsufficientDataError
+from repro.core import LoadShedder
+from repro.errors import ConfigurationError, EstimationError, InsufficientDataError
+from repro.resilience import AdaptiveSheddingSketcher
 from repro.sketches import FagmsSketch
 from repro.streams import zipf_relation
 
@@ -95,9 +96,11 @@ class TestLoadShedder:
 
 
 class TestSheddingSketcher:
+    """The paper's §VI-A sketcher: an adaptive sketcher left at one rate."""
+
     def test_estimates_close_to_truth(self):
         relation = zipf_relation(50_000, 2_000, 1.0, seed=7)
-        sketcher = SheddingSketcher(FagmsSketch(1024, seed=8), p=0.1, seed=9)
+        sketcher = AdaptiveSheddingSketcher(FagmsSketch(1024, seed=8), p=0.1, seed=9)
         for chunk in relation.chunks(4096):
             sketcher.process(chunk)
         truth = relation.self_join_size()
@@ -107,8 +110,8 @@ class TestSheddingSketcher:
         f = zipf_relation(40_000, 2_000, 0.8, seed=10)
         g = zipf_relation(40_000, 2_000, 0.8, seed=11)
         sketch = FagmsSketch(1024, seed=12)
-        sketcher_f = SheddingSketcher(sketch, p=0.2, seed=13)
-        sketcher_g = SheddingSketcher(sketch.copy_empty(), p=0.5, seed=14)
+        sketcher_f = AdaptiveSheddingSketcher(sketch, p=0.2, seed=13)
+        sketcher_g = AdaptiveSheddingSketcher(sketch.copy_empty(), p=0.5, seed=14)
         for chunk in f.chunks(8192):
             sketcher_f.process(chunk)
         for chunk in g.chunks(8192):
@@ -117,14 +120,14 @@ class TestSheddingSketcher:
         assert sketcher_f.join_size(sketcher_g) == pytest.approx(truth, rel=0.5)
 
     def test_process_returns_kept_count(self):
-        sketcher = SheddingSketcher(FagmsSketch(64, seed=1), p=0.5, seed=2)
+        sketcher = AdaptiveSheddingSketcher(FagmsSketch(64, seed=1), p=0.5, seed=2)
         kept = sketcher.process(np.arange(1000) % 64)
         assert kept == sketcher.shedder.kept
         assert 300 < kept < 700
 
     def test_p_exposed(self):
-        sketcher = SheddingSketcher(FagmsSketch(64, seed=1), p=0.25, seed=2)
-        assert sketcher.p == 0.25
+        sketcher = AdaptiveSheddingSketcher(FagmsSketch(64, seed=1), p=0.25, seed=2)
+        assert sketcher.rate == sketcher.shedder.p == 0.25
 
 
 @pytest.mark.statistical
@@ -134,7 +137,7 @@ def test_shedding_estimator_unbiased():
     truth = relation.self_join_size()
     estimates = []
     for seed in range(60):
-        sketcher = SheddingSketcher(
+        sketcher = AdaptiveSheddingSketcher(
             FagmsSketch(512, seed=3000 + seed), p=0.3, seed=seed
         )
         sketcher.process(relation.keys)
@@ -182,5 +185,29 @@ class TestLoadShedderRetuning:
         shedder.set_p(0.2)
         shedder.filter(np.arange(300))
         clone = LoadShedder.restore(shedder.state())
+        assert clone.segments == shedder.segments
         chunk = np.arange(2000)
         assert np.array_equal(shedder.filter(chunk), clone.filter(chunk))
+
+    def test_info_refuses_a_piecewise_rate_stream(self):
+        # Reporting the current rate for every tuple seen made the paper's
+        # correction overestimate F2 about 30x after a 1.0 -> 0.1 retune.
+        shedder = LoadShedder(1.0, seed=17)
+        shedder.filter(np.arange(1000))
+        shedder.set_p(0.1)
+        # Nothing has arrived at 0.1 yet: still one draw, at p = 1.
+        info = shedder.info()
+        assert (info.probability, info.population_size) == (1.0, 1000)
+        shedder.filter(np.arange(1000))
+        with pytest.raises(EstimationError, match="keep-rates"):
+            shedder.info()
+
+    def test_info_accepts_segments_at_one_rate(self):
+        shedder = LoadShedder(0.5, seed=19)
+        shedder.filter(np.arange(400))
+        shedder.set_p(0.5)
+        shedder.filter(np.arange(600))
+        assert len(shedder.segments) == 2
+        info = shedder.info()
+        assert (info.probability, info.population_size) == (0.5, 1000)
+        assert info.sample_size == shedder.kept

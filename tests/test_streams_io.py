@@ -94,12 +94,12 @@ def test_max_tuples_guard(stream_file):
 
 def test_streaming_consumption_feeds_sketch(stream_file):
     """End to end: spill to disk, re-stream through a shedding sketcher."""
-    from repro.core import SheddingSketcher
+    from repro.resilience import AdaptiveSheddingSketcher
     from repro.sketches import FagmsSketch
 
     relation = zipf_relation(20_000, 1_000, 1.0, seed=2)
     write_stream(stream_file, relation.chunks(4_096), 1_000)
-    sketcher = SheddingSketcher(FagmsSketch(1_024, seed=3), p=0.2, seed=4)
+    sketcher = AdaptiveSheddingSketcher(FagmsSketch(1_024, seed=3), p=0.2, seed=4)
     for chunk in read_stream(stream_file, chunk_size=4_096):
         sketcher.process(chunk)
     truth = relation.self_join_size()
