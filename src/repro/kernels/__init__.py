@@ -6,8 +6,11 @@ to bucket indices and ±1 signs, one row per basic estimator) and
 Both stages route through the backend seam in this subpackage: the
 polynomial hash families dispatch their row-batched evaluation via
 ``polynomial_mod_p`` / ``bucket_indices`` / ``parity_signs``, and the
-sketches dispatch accumulation via ``scatter_add`` /
-``signed_scatter_add`` / ``gather`` and the AGMS sign reductions.
+accumulation primitives are ``scatter_add`` / ``signed_scatter_add`` /
+``gather`` and the AGMS sign reductions.  A sketch's ``update()`` makes
+one seam call per batch, :meth:`KernelBackend.fused_update` over a
+one-entry plan of itself (see below), and each backend runs hashing and
+accumulation inside it.
 
 Three backends register themselves at import time:
 
@@ -36,7 +39,11 @@ On top of the per-sketch primitives the seam carries a *fused
 multi-sketch* entry point (:mod:`~repro.kernels.fused`): one pass over a
 key chunk updates several sketches at once, sharing key validation and
 letting each backend batch the hash evaluations — see
-:func:`fused_update` / :func:`make_fused_plan`.
+:func:`fused_update` / :func:`make_fused_plan`.  A plan holds live
+state — array references, and on the native backend raw C pointers
+bound at first use — so rebinding a sketch's counter storage
+invalidates it; each sketch drops its own cached plan when that
+happens.
 
 Every backend must leave counters **bit-identical** to the reference
 path for integer-valued deltas (the unweighted and frequency-vector

@@ -4,8 +4,7 @@ A statistics pipeline commonly maintains several sketches over the *same*
 key stream — an AGMS sketch for unbiased moments, an F-AGMS sketch for
 point queries, a Count-Min baseline.  Updating them one at a time walks
 the chunk once per sketch: every ``update()`` call re-validates the keys
-(two full min/max scans per hash family), materializes its own
-``(rows, n)`` index/sign matrices, and pays its own Python/ctypes
+(a full min/max scan), hashes them, and pays its own Python/ctypes
 dispatch.  :func:`fused_update` replaces that with **one pass over the
 chunk that updates every sketch**: keys are validated and widened once,
 and the active backend receives the whole batch of hash families together
@@ -15,10 +14,11 @@ numpy backend) — the batching idea of disaggregated-sketch systems
 (arXiv 1709.04048) applied to the update path.
 
 The seam method is :meth:`~repro.kernels.backend.KernelBackend.fused_update`;
-its base implementation replays the exact per-sketch primitives of the
-separate path, so **every backend is bit-identical to calling each
-sketch's** ``update()`` **individually** — enforced for all sketch types
-× backends in ``tests/test_fused_kernels.py``.
+its base implementation replays the separate-path primitives
+(``bucket_indices`` / ``parity_signs`` / the scatter and sign
+reductions) entry by entry, and **every backend is bit-identical to that
+replay** — enforced for all sketch types × backends in
+``tests/test_fused_kernels.py`` and ``tests/test_sketch_update_path.py``.
 
 Plans
 -----
@@ -27,9 +27,16 @@ sketches: one :class:`FusedEntry` per sketch carrying live references to
 its counter array and hash-family coefficients.  Build one with
 :func:`make_fused_plan` and reuse it across chunks (the cheap path), or
 pass the sketch sequence straight to :func:`fused_update` (a plan is
-built per call).  A plan holds *references* — rebuilding a sketch's
-counter storage (e.g. :meth:`~repro.sketches.base.Sketch._bind_state`)
-invalidates any plan built before it.
+built per call).  Every sketch's own ``update()`` is a one-entry plan
+of itself, built on first use and cached on the sketch.
+
+A plan holds *live* state: array references, plus whatever each backend
+caches on it at first use — the numpy stacking layout, and on the native
+backend raw C pointers into the counter and coefficient arrays.
+Rebinding a sketch's counter storage (e.g.
+:meth:`~repro.sketches.base.Sketch._bind_state`) therefore invalidates
+every plan built before it; the sketch drops its own cached plan then,
+and a plan is never pickled or copied with its sketch.
 
 int32 fast path
 ---------------
@@ -130,9 +137,10 @@ def make_fused_plan(sketches: Sequence) -> FusedPlan:
     """Build a reusable :class:`FusedPlan` from live sketches.
 
     Every sketch must implement ``_fused_descriptor()`` (the three
-    concrete sketch classes do).  The entries keep the order of
-    *sketches* — backends apply them in that order, so a fused call is
-    equivalent to updating the sketches sequentially.
+    concrete sketch classes do), and its counters must be writeable.
+    The entries keep the order of *sketches* — backends apply them in
+    that order, so a fused call is equivalent to updating the sketches
+    sequentially.
     """
     if not sketches:
         raise ConfigurationError("make_fused_plan needs at least one sketch")
@@ -149,25 +157,26 @@ def make_fused_plan(sketches: Sequence) -> FusedPlan:
                 f"unknown fused entry kind {entry.kind!r}; "
                 f"expected one of {FUSED_KINDS}"
             )
+        if not entry.counters.flags.writeable:
+            # Native C writes and np.add.at ignore numpy's write flag, so
+            # frozen counters (a snapshot's sketch view) are refused here,
+            # once per plan, for every backend.
+            raise ValueError(
+                f"{type(sketch).__name__} counters are read-only"
+            )
         entries.append(entry)
     return FusedPlan(entries=tuple(entries))
 
 
-def _prepare_keys(keys, bound: int, backend) -> np.ndarray:
+def _prepare_keys(keys: np.ndarray, bound: int, backend) -> np.ndarray:
     """Validate once, then widen — or keep int32 for capable backends."""
-    keys = np.asarray(keys)
-    if keys.ndim != 1:
-        raise DomainError(f"keys must be 1-D, got shape {keys.shape}")
-    if keys.size == 0:
-        # Hash-key API dtype, not an accumulator.
-        return keys.astype(np.uint64)  # repro: noqa(REP002)
     if not np.issubdtype(keys.dtype, np.integer):
         raise DomainError("sketch keys must be integers")
     lo = int(keys.min())
     hi = int(keys.max())
     if lo < 0 or hi >= bound:
         raise DomainError(
-            f"fused-update keys must lie in [0, {bound}), saw range [{lo}, {hi}]"
+            f"sketch keys must lie in [0, {bound}), saw range [{lo}, {hi}]"
         )
     if keys.dtype in (np.int32, np.uint32) and getattr(
         backend, "fused_accepts_int32", False
@@ -197,14 +206,19 @@ def fused_update(target, keys, weights=None) -> None:
 
     *target* is a :class:`FusedPlan` (reused across chunks) or a sequence
     of sketches (a plan is built on the fly).  Semantically — and
-    bit-for-bit — equivalent to calling ``sketch.update(keys, weights)``
-    on each sketch in order, on every backend.
+    bit-for-bit — equivalent to updating each sketch in order with the
+    separate-path primitives, on every backend.  Keys and weights are
+    checked before any counter is written, and weights even when the
+    chunk is empty.
     """
     plan = target if isinstance(target, FusedPlan) else make_fused_plan(target)
     if not plan.entries:
         return
-    backend = get_backend()
-    prepared = _prepare_keys(keys, plan.key_bound, backend)
-    if prepared.size == 0:
+    keys = np.asarray(keys)
+    if keys.ndim != 1:
+        raise DomainError(f"keys must be 1-D, got shape {keys.shape}")
+    weights = _prepare_weights(weights, keys.size)
+    if keys.size == 0:
         return
-    backend.fused_update(plan, prepared, _prepare_weights(weights, prepared.size))
+    backend = get_backend()
+    backend.fused_update(plan, _prepare_keys(keys, plan.key_bound, backend), weights)

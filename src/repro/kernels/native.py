@@ -17,7 +17,17 @@ through numpy never exist.  The unweighted AGMS row sums reduce in
 registers too, eliminating the numpy int8→float64 reduction that made
 AGMS the per-sketch straggler.  Fused kernels also accept ``int32`` /
 ``uint32`` keys directly (widened block-wise in L1), halving key
-traffic for narrow domains.
+traffic for narrow domains.  Every sketch's ``update()`` is a one-entry
+plan, so this is the native update path.
+
+Each plan's calls are bound once, at its first native update: the C
+entry point and its constant pointer arguments (hash coefficients,
+counters) are converted and cached on the plan, so a chunk pays for one
+key address and one ctypes call per sketch.  Those pointers are live
+addresses into the sketches' arrays — rebinding a sketch's counter
+storage invalidates every plan built before it, which is why a sketch
+drops its cached plan when it adopts new storage and never pickles or
+copies it.
 
 Threading: every row loop (hashing, scatter, fused) carries an OpenMP
 ``parallel for`` over rows.  Rows write disjoint output slices and each
@@ -438,12 +448,16 @@ def _declare(lib: ctypes.CDLL) -> None:
         _U64P, c_int64, c_void_p, c_int64, c_int64, _I64P,
     ]
     lib.repro_fused_agms.restype = None
+    # Fused kernels take the per-chunk key and weight buffers as raw
+    # addresses (see _bind_entry): converting an int is far cheaper than
+    # building a typed pointer object on every chunk.
     lib.repro_fused_signed.argtypes = [
-        _U64P, _U64P, c_int64, c_void_p, c_int64, c_int64, c_int64, _F64P, _F64P,
+        _U64P, _U64P, c_int64, c_void_p, c_int64, c_int64, c_int64, _F64P,
+        c_void_p,
     ]
     lib.repro_fused_signed.restype = None
     lib.repro_fused_unsigned.argtypes = [
-        _U64P, c_int64, c_void_p, c_int64, c_int64, c_int64, _F64P, _F64P,
+        _U64P, c_int64, c_void_p, c_int64, c_int64, c_int64, _F64P, c_void_p,
     ]
     lib.repro_fused_unsigned.restype = None
     lib.repro_set_threads.argtypes = [c_int64]
@@ -568,6 +582,53 @@ def _counter_pointer(counters: np.ndarray):
             "native backend needs C-contiguous counters; got a strided view"
         )
     return counters.ctypes.data_as(_F64P)
+
+
+def _bind_entry(lib: ctypes.CDLL, entry):
+    """*entry*'s single-pass C kernel with its constant arguments bound.
+
+    Returns ``run(keys, kwidth, n, weights)``, taking the chunk's key and
+    weight buffers as raw addresses (``weights`` is ``None`` when
+    unweighted; the AGMS kernel takes none), or ``None`` when the entry
+    has no single-pass kernel (non-fourwise signs).  The coefficient and
+    counter pointers are converted here, once per plan; they are live
+    addresses, valid only while the entry's arrays are.
+    """
+    rows, buckets = entry.rows, entry.buckets
+    if entry.kind == "countmin":
+        kernel = lib.repro_fused_unsigned
+        bcoeffs = _u64(np.ascontiguousarray(entry.bucket_coefficients))
+        counters = _counter_pointer(entry.counters)
+
+        def run(keys, kwidth, n, weights):
+            kernel(bcoeffs, rows, keys, kwidth, n, buckets, counters, weights)
+
+        return run
+    signs = entry.sign_coefficients
+    if entry.sign_kind != "poly" or signs is None or signs.shape[1] != 4:
+        return None
+    scoeffs = _u64(np.ascontiguousarray(signs))
+    if entry.kind == "fagms":
+        kernel = lib.repro_fused_signed
+        bcoeffs = _u64(np.ascontiguousarray(entry.bucket_coefficients))
+        counters = _counter_pointer(entry.counters)
+
+        def run(keys, kwidth, n, weights):
+            kernel(bcoeffs, scoeffs, rows, keys, kwidth, n, buckets, counters, weights)
+
+        return run
+    # Unweighted AGMS: per-row ±1 sums counted in registers.  The int64
+    # count is exact, so adding it to the float64 counters matches the
+    # separate sign_sum path bit for bit.
+    kernel = lib.repro_fused_agms
+    rowsums = np.empty(rows, dtype=np.int64)
+    out = rowsums.ctypes.data_as(_I64P)
+
+    def run(keys, kwidth, n, weights):
+        kernel(scoeffs, rows, keys, kwidth, n, out)
+        entry.counters += rowsums.astype(np.float64)
+
+    return run
 
 
 class NativeKernelBackend(NumpyKernelBackend):
@@ -695,81 +756,43 @@ class NativeKernelBackend(NumpyKernelBackend):
         index/sign matrices); EH3-signed entries and the weighted AGMS
         reduction fall back to the replayed separate-path primitives
         (C hashing + the numpy sign reductions), keeping every entry
-        bit-identical to its per-sketch ``update()``.
+        bit-identical to that replay.  Each entry's kernel and constant
+        pointer arguments are bound at the plan's first native use
+        (:func:`_bind_entry`) and cached on it as ``_native_cache`` —
+        as the numpy backend caches its stacking layout — so a chunk
+        converts only its key and weight addresses.
         """
-        lib = _library()
+        calls = getattr(plan, "_native_cache", None)
+        if calls is None:
+            lib = _library()
+            calls = tuple((entry, _bind_entry(lib, entry)) for entry in plan.entries)
+            plan._native_cache = calls
         n = keys.size
         kwidth = keys.dtype.itemsize
         if kwidth not in (4, 8):
             keys = keys.astype(np.uint64)
             kwidth = 8
-        key_pointer = keys.ctypes.data_as(c_void_p)
-        weight_pointer = (
-            None
-            if weights is None
-            else np.ascontiguousarray(weights).ctypes.data_as(_F64P)
-        )
+        key_address = keys.ctypes.data
+        weight_address = None
+        if weights is not None:
+            weights = np.ascontiguousarray(weights)
+            weight_address = weights.ctypes.data
         wide: Optional[np.ndarray] = None
-
-        def keys64() -> np.ndarray:
-            # Canonical uint64 view for the numpy-path fallbacks, built
-            # at most once per call.
-            nonlocal wide
+        for entry, run in calls:
+            # The AGMS kernel only counts unweighted signs.
+            if run is not None and (weights is None or entry.kind != "agms"):
+                run(key_address, kwidth, n, weight_address)
+                continue
             if wide is None:
+                # Canonical uint64 view for the numpy-path fallbacks,
+                # built at most once per call.
                 if keys.dtype == np.uint64:
                     wide = keys
                 elif keys.dtype == np.int64:
                     wide = keys.view(np.uint64)
                 else:
                     wide = keys.astype(np.uint64)
-            return wide
-
-        for entry in plan.entries:
-            poly_signs = (
-                entry.sign_kind == "poly"
-                and entry.sign_coefficients is not None
-                and entry.sign_coefficients.shape[1] == 4
-            )
-            if entry.kind == "agms":
-                if poly_signs and weights is None:
-                    rowsums = np.empty(entry.rows, dtype=np.int64)
-                    lib.repro_fused_agms(
-                        _u64(np.ascontiguousarray(entry.sign_coefficients)),
-                        entry.rows,
-                        key_pointer,
-                        kwidth,
-                        n,
-                        rowsums.ctypes.data_as(_I64P),
-                    )
-                    entry.counters += rowsums.astype(np.float64)
-                else:
-                    entry.replay(self, keys64(), weights)
-            elif entry.kind == "fagms":
-                if poly_signs:
-                    lib.repro_fused_signed(
-                        _u64(np.ascontiguousarray(entry.bucket_coefficients)),
-                        _u64(np.ascontiguousarray(entry.sign_coefficients)),
-                        entry.rows,
-                        key_pointer,
-                        kwidth,
-                        n,
-                        entry.buckets,
-                        _counter_pointer(entry.counters),
-                        weight_pointer,
-                    )
-                else:
-                    entry.replay(self, keys64(), weights)
-            else:
-                lib.repro_fused_unsigned(
-                    _u64(np.ascontiguousarray(entry.bucket_coefficients)),
-                    entry.rows,
-                    key_pointer,
-                    kwidth,
-                    n,
-                    entry.buckets,
-                    _counter_pointer(entry.counters),
-                    weight_pointer,
-                )
+            entry.replay(self, wide, weights)
 
 
 register_backend(NativeKernelBackend())

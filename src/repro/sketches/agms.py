@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..hashing import EH3SignFamily, FourWiseSignFamily, SignFamily
-from ..kernels import get_backend
+from ..kernels import fused_update
 from ..rng import SeedLike, as_seed_sequence, derive_seed
 from ._combine import combine_estimates, validate_combine
 from .base import Sketch
@@ -63,6 +63,7 @@ class AgmsSketch(Sketch):
         "_counters",
         "_signs",
         "_scratch",
+        "_plan",
     )
 
     def __init__(
@@ -102,17 +103,7 @@ class AgmsSketch(Sketch):
         return self._counters
 
     def update(self, keys, weights=None) -> None:
-        keys, weights = self._normalize_batch(keys, weights)
-        if keys.size == 0:
-            return
-        signs = self._signs.evaluate_all(keys)  # (rows, n) of ±1
-        backend = get_backend()
-        if weights is None:
-            self._counters += backend.sign_sum(signs)
-        else:
-            # One matmul into the preallocated buffer — no per-chunk
-            # temporary beyond the float view of the signs.
-            self._counters += backend.sign_dot(signs, weights, out=self._scratch)
+        fused_update(self._fused_plan(), keys, weights)
 
     # ------------------------------------------------------------------
 
@@ -197,7 +188,7 @@ class AgmsSketch(Sketch):
             sign_kind="eh3",
             sign_family=self._signs,
             scratch=self._scratch,
-            key_bound=min(2**31 - 1, 2**self._signs.bits),
+            key_bound=2**self._signs.bits,
         )
 
     def _family_fingerprint(self) -> tuple:

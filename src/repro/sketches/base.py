@@ -28,12 +28,12 @@ sketches are agnostic about how their input was produced.
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
 import numpy as np
 
 from ..errors import DomainError, IncompatibleSketchError, MergeError
 from ..frequency import FrequencyVector
+from ..kernels.fused import FusedPlan, make_fused_plan
 
 __all__ = ["Sketch", "join_size", "self_join_size"]
 
@@ -54,6 +54,10 @@ class Sketch(abc.ABC):
     def update(self, keys, weights=None) -> None:
         """Insert a batch of stream keys.
 
+        The concrete sketches run this as ``fused_update`` over their
+        cached one-entry plan (:meth:`_fused_plan`): one backend call
+        per batch, keys and weights validated before any counter moves.
+
         Parameters
         ----------
         keys:
@@ -62,6 +66,37 @@ class Sketch(abc.ABC):
             Optional per-tuple weights (default +1 each).  Integer or float;
             negative values delete.
         """
+
+    def _fused_plan(self) -> FusedPlan:
+        """This sketch's one-entry fused plan, built on first use.
+
+        The plan references the current counter storage, and backends
+        cache live state on it (raw C pointers on the native backend),
+        so it belongs to this instance alone: :meth:`_adopt_state` drops
+        it, clones start without one, and pickling or deep-copying the
+        sketch leaves it behind (:meth:`__getstate__`).
+        """
+        plan = getattr(self, "_plan", None)
+        if plan is None:
+            plan = self._plan = make_fused_plan((self,))
+        return plan
+
+    def __getstate__(self) -> tuple:
+        """Pickle and deep-copy state: every attribute but the cached plan.
+
+        Same ``(dict, slots)`` form as the default, minus ``_plan``, so a
+        copy rebuilds its own plan over its own counters on first update.
+        """
+        attributes = {
+            name: value for name, value in self.__dict__.items() if name != "_plan"
+        }
+        slots = {
+            name: getattr(self, name)
+            for cls in type(self).__mro__
+            for name in cls.__dict__.get("__slots__", ())
+            if name != "_plan" and hasattr(self, name)
+        }
+        return (attributes or None, slots)
 
     def update_one(self, key: int, weight: float = 1.0) -> None:
         """Insert a single tuple (convenience wrapper over :meth:`update`)."""
@@ -109,7 +144,8 @@ class Sketch(abc.ABC):
         into a shared-memory segment so updates land directly in the
         transport buffer — no result pickling.  *array* must match the
         current state's shape and dtype and be C-contiguous (the native
-        backend scatters through raw pointers).  Any
+        backend scatters through raw pointers).  The sketch's cached plan
+        is dropped here, and any other
         :class:`~repro.kernels.fused.FusedPlan` built before the swap
         still references the old storage and must be rebuilt.
         """
@@ -122,6 +158,7 @@ class Sketch(abc.ABC):
         if not array.flags.c_contiguous:
             raise DomainError("adopted state must be C-contiguous")
         self._counters = array
+        self._plan = None
 
     def _bind_state(self, array: np.ndarray) -> None:
         """Move the current counters into *array* and adopt it as storage."""
@@ -237,27 +274,6 @@ class Sketch(abc.ABC):
                 "sketches were built with different seeds (different random "
                 "families); estimates across them are meaningless"
             )
-
-    # ------------------------------------------------------------------
-    # Shared validation helper
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _normalize_batch(keys, weights) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        keys = np.asarray(keys)
-        if keys.ndim != 1:
-            raise DomainError(f"keys must be 1-D, got shape {keys.shape}")
-        if keys.size and not np.issubdtype(keys.dtype, np.integer):
-            raise DomainError("sketch keys must be integers")
-        keys = keys.astype(np.int64, copy=False)
-        if weights is None:
-            return keys, None
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != keys.shape:
-            raise DomainError(
-                f"weights shape {weights.shape} does not match keys {keys.shape}"
-            )
-        return keys, weights
 
 
 def join_size(sketch_f: Sketch, sketch_g: Sketch) -> float:

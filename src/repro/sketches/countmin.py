@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, EstimationError
 from ..hashing import BucketHashFamily
-from ..kernels import get_backend
+from ..kernels import fused_update, get_backend
 from ..rng import SeedLike, as_seed_sequence, derive_seed
 from .base import Sketch
 
@@ -42,6 +42,7 @@ class CountMinSketch(Sketch):
         "seed_spawn_key",
         "_counters",
         "_bucket_hash",
+        "_plan",
     )
 
     def __init__(self, buckets: int, rows: int = 3, seed: SeedLike = None) -> None:
@@ -66,11 +67,7 @@ class CountMinSketch(Sketch):
         return self._counters
 
     def update(self, keys, weights=None) -> None:
-        keys, weights = self._normalize_batch(keys, weights)
-        if keys.size == 0:
-            return
-        indices = self._bucket_hash.evaluate_all(keys)
-        get_backend().scatter_add(self._counters, indices, weights)
+        fused_update(self._fused_plan(), keys, weights)
 
     # ------------------------------------------------------------------
 

@@ -46,16 +46,16 @@ def test_profiling_meters_rows_and_ops(keys, tick_clock):
     snapshot = obs.metrics.snapshot()
     backend = get_backend().name
     accumulate = snapshot.counter_value(
-        "kernels.rows", op="signed_scatter_add", backend=backend
+        "kernels.rows", op="fused_update", backend=backend
     )
     assert accumulate == keys.size * 3  # one row batch of 3 sketch rows
     ops = snapshot.counter_value(
-        "kernels.ops", op="signed_scatter_add", backend=backend
+        "kernels.ops", op="fused_update", backend=backend
     )
     assert ops >= 1
     assert (
         snapshot.counter_value(
-            "kernels.bytes", op="signed_scatter_add", backend=backend
+            "kernels.bytes", op="fused_update", backend=backend
         )
         > 0
     )

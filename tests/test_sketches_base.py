@@ -40,6 +40,8 @@ class TestSharedBehavior:
             sketch.update(np.array([1.5]))
         with pytest.raises(DomainError):
             sketch.update(np.array([1, 2]), np.array([1.0]))
+        with pytest.raises(DomainError):
+            sketch.update(np.array([], np.int64), np.array([1.0]))
 
     def test_clear(self, factory):
         sketch = factory(1)
