@@ -49,7 +49,6 @@ from .core import (
     self_join_interval,
     sketch_over_sample,
 )
-from .engine import OnlineJoinAggregator, OnlineSelfJoinAggregator, ProgressivePoint
 from .errors import (
     BadRecordError,
     CheckpointError,
@@ -177,10 +176,6 @@ __all__ = [
     "sample_self_join_size",
     "save_sketch",
     "load_sketch",
-    # engine
-    "ProgressivePoint",
-    "OnlineSelfJoinAggregator",
-    "OnlineJoinAggregator",
     # resilience
     "AdaptiveSheddingSketcher",
     "LoadGovernor",

@@ -42,7 +42,7 @@ from ..sampling.base import SampleInfo, Sampler
 from ..sampling.unbiasing import join_scale, self_join_correction
 from ..sketches.base import Sketch
 from ..streams.base import Relation
-from ..variance.bounds import ConfidenceInterval, chebyshev_interval, clt_interval
+from ..variance.bounds import ConfidenceInterval, interval
 from ..variance.generic import (
     combined_join_variance,
     combined_self_join_variance,
@@ -180,18 +180,6 @@ def estimate_self_join_size(sketch: Sketch, info: SampleInfo) -> SelfJoinEstimat
 # Theory-backed confidence intervals (analysis / planning mode)
 # ----------------------------------------------------------------------
 
-_INTERVALS = {"clt": clt_interval, "chebyshev": chebyshev_interval}
-
-
-def _interval(estimate: float, variance: float, confidence: float, method: str):
-    if method not in _INTERVALS:
-        raise ConfigurationError(
-            f"unknown interval method {method!r}; expected one of "
-            f"{tuple(_INTERVALS)}"
-        )
-    return _INTERVALS[method](estimate, variance, confidence)
-
-
 def join_interval(
     estimate: Union[JoinEstimate, float],
     f: FrequencyVector,
@@ -219,7 +207,7 @@ def join_interval(
         join_scale(info_f, info_g),
         n,
     )
-    return _interval(value, float(variance), confidence, method)
+    return interval(value, float(variance), confidence, method)
 
 
 def self_join_interval(
@@ -246,4 +234,4 @@ def self_join_interval(
         n,
         correction=correction.random_coefficient,
     )
-    return _interval(value, float(variance), confidence, method)
+    return interval(value, float(variance), confidence, method)

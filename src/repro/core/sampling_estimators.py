@@ -23,7 +23,7 @@ from ..errors import DomainError
 from ..frequency import FrequencyVector
 from ..sampling.base import SampleInfo
 from ..sampling.unbiasing import join_scale, self_join_correction
-from ..variance.bounds import ConfidenceInterval, chebyshev_interval, clt_interval
+from ..variance.bounds import ConfidenceInterval, interval
 from ..variance.generic import (
     moment_model_for,
     sampling_join_variance,
@@ -100,8 +100,7 @@ def sample_join_interval(
             join_scale(info_f, info_g),
         )
     )
-    builder = clt_interval if method == "clt" else chebyshev_interval
-    return builder(estimate, variance, confidence)
+    return interval(estimate, variance, confidence, method)
 
 
 def sample_self_join_interval(
@@ -122,5 +121,4 @@ def sample_self_join_interval(
             correction=correction.random_coefficient,
         )
     )
-    builder = clt_interval if method == "clt" else chebyshev_interval
-    return builder(estimate, variance, confidence)
+    return interval(estimate, variance, confidence, method)

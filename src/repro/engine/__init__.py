@@ -7,17 +7,17 @@ The paper's proposal: sketch the tuples *as they are scanned* and use the
 WOR corrections (Section V-D) to turn the sketch into statistics — second
 frequency moments, join-size correlations — "essentially for free".
 
-:class:`~repro.engine.online_aggregation.OnlineSelfJoinAggregator` and
-:class:`~repro.engine.online_aggregation.OnlineJoinAggregator` implement
-exactly that scan loop and yield a
-:class:`~repro.engine.online_aggregation.ProgressivePoint` per checkpoint.
+:class:`~repro.engine.statistics.OnlineStatisticsEngine` sketches every
+scanned relation with one shared set of hash families;
+:func:`~repro.engine.scan.run_lockstep_scan` is the scan loop, yielding
+an :class:`~repro.engine.snapshot.EngineSnapshot` per checkpoint that
+answers every statistic of the scanned prefixes (self-join, join, point
+frequency, with plug-in intervals).  For the paper's analysis-mode
+intervals, pass a snapshot relation's ``info()`` and the snapshot's
+``averaged_estimators`` to :func:`repro.core.self_join_interval` or
+:func:`repro.core.join_interval` with the exact frequency vectors.
 """
 
-from .online_aggregation import (
-    OnlineJoinAggregator,
-    OnlineSelfJoinAggregator,
-    ProgressivePoint,
-)
 from .scan import run_lockstep_scan
 from .snapshot import (
     EngineSnapshot,
@@ -30,9 +30,6 @@ from .snapshot import (
 from .statistics import OnlineStatisticsEngine, ScanState
 
 __all__ = [
-    "ProgressivePoint",
-    "OnlineSelfJoinAggregator",
-    "OnlineJoinAggregator",
     "OnlineStatisticsEngine",
     "EngineSnapshot",
     "RelationMoments",

@@ -32,11 +32,28 @@ from ..errors import CheckpointError, ConfigurationError
 from ..observability.observer import Observer
 from ..resilience.checkpoint import CheckpointManager
 from ..streams.base import Relation
-from .online_aggregation import DEFAULT_CHECKPOINTS, _validate_checkpoints
 from .snapshot import EngineSnapshot
 from .statistics import OnlineStatisticsEngine
 
 __all__ = ["run_lockstep_scan"]
+
+DEFAULT_CHECKPOINTS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0)
+
+
+def _validate_checkpoints(checkpoints: Sequence[float]) -> list[float]:
+    """The distinct scan fractions in ascending order, each in ``(0, 1]``.
+
+    NaN fails the range test too, so it raises instead of reaching the
+    scan's tuple-count rounding.
+    """
+    values = sorted(set(float(c) for c in checkpoints))
+    if not values:
+        raise ConfigurationError("at least one checkpoint is required")
+    if not all(0 < value <= 1 for value in values):
+        raise ConfigurationError(
+            f"checkpoints must lie in (0, 1], got {checkpoints}"
+        )
+    return values
 
 
 def run_lockstep_scan(
@@ -72,8 +89,11 @@ def run_lockstep_scan(
     the checkpointed state (it must be freshly constructed — its sketch
     template is replaced by the checkpointed one so the hash families
     match), already-completed fractions are not re-yielded, and every
-    relation's cardinality is validated against the snapshot.  When no
-    usable snapshot exists the scan simply starts from the beginning.
+    relation's cardinality is validated against the snapshot.  All
+    validation runs before the rewind, so a resume that raises
+    :class:`~repro.errors.CheckpointError` leaves *engine* untouched.
+    When no usable snapshot exists the scan simply starts from the
+    beginning.
 
     *observer* receives ``scan.*`` spans (one ``scan.fraction`` per
     yielded checkpoint, one ``scan.chunk`` per consumed slice, plus
@@ -115,13 +135,13 @@ def run_lockstep_scan(
                         f"relation {name!r} has {len(relation)} tuples but the "
                         f"checkpoint recorded {recorded}"
                     )
+            if snapshot.position > len(fractions):
+                raise CheckpointError(
+                    f"checkpoint completed {snapshot.position} fractions but "
+                    f"only {len(fractions)} were requested"
+                )
             engine.adopt(restored)
             completed = snapshot.position
-            if completed > len(fractions):
-                raise CheckpointError(
-                    f"checkpoint completed {completed} fractions but only "
-                    f"{len(fractions)} were requested"
-                )
     if completed == 0:
         for name, relation in relations.items():
             if name not in engine.relations:

@@ -50,11 +50,7 @@ from ..sampling.unbiasing import _expectation_inverse, self_join_correction
 from ..sketches._combine import combine_estimates
 from ..sketches.fagms import FagmsSketch
 from ..sketches.serialization import build_sketch
-from ..variance.bounds import (
-    ConfidenceInterval,
-    chebyshev_interval,
-    clt_interval,
-)
+from ..variance.bounds import ConfidenceInterval, interval
 from ..variance.runtime import (
     prefix_join_variance,
     prefix_point_frequency_variance,
@@ -86,18 +82,6 @@ class StatisticsSnapshot:
             f"{name}={fraction:.0%}" for name, fraction in self.fractions.items()
         )
         return f"StatisticsSnapshot({scanned})"
-
-
-def _interval(
-    estimate: float, variance: float, confidence: float, method: str
-) -> ConfidenceInterval:
-    if method == "chebyshev":
-        return chebyshev_interval(estimate, variance, confidence)
-    if method == "clt":
-        return clt_interval(estimate, variance, confidence)
-    raise ConfigurationError(
-        f"unknown interval method {method!r}; expected 'chebyshev' or 'clt'"
-    )
 
 
 @dataclass(frozen=True)
@@ -403,7 +387,7 @@ class EngineSnapshot:
         Uses :meth:`self_join_variance_bound` and the paper's
         Chebyshev/CLT interval constructions.
         """
-        return _interval(
+        return interval(
             self.self_join_size(name),
             self.self_join_variance_bound(name),
             confidence,
@@ -433,7 +417,7 @@ class EngineSnapshot:
     ) -> ConfidenceInterval:
         """Confidence interval for :meth:`point_frequency`."""
         estimate = self.point_frequency(name, key)
-        return _interval(
+        return interval(
             estimate,
             self.point_frequency_variance_bound(name, key, estimate=estimate),
             confidence,
@@ -624,7 +608,7 @@ def join_interval_between(
 ) -> ConfidenceInterval:
     """Confidence interval for :func:`join_size_between`."""
     estimate = join_size_between(snap_a, name_a, snap_b, name_b)
-    return _interval(
+    return interval(
         estimate,
         join_variance_between(snap_a, name_a, snap_b, name_b, estimate=estimate),
         confidence,

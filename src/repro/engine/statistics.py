@@ -28,6 +28,7 @@ Usage::
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -317,7 +318,9 @@ class OnlineStatisticsEngine:
         Every relation's sketch is reconstructed from the shared template
         header (so cross-relation inner products remain meaningful) and
         its checkpointed counters, verified against the expected shape.
-        Raises :class:`~repro.errors.CheckpointError` on any mismatch.
+        Raises :class:`~repro.errors.CheckpointError` on any mismatch, and
+        on a malformed relation record: a missing field, a non-integer
+        count, a repeated name or a non-finite counter.
         """
         header = state.get("template")
         if not isinstance(header, dict):
@@ -338,7 +341,19 @@ class OnlineStatisticsEngine:
         expected = expected_state_shape(header)
         engine._relations = {}
         for raw in relations:
-            name = raw.get("name")
+            try:
+                name = raw["name"]
+                total_tuples = operator.index(raw["total_tuples"])
+                scanned = operator.index(raw["scanned"])
+            except (KeyError, TypeError) as error:
+                raise CheckpointError(
+                    f"malformed engine checkpoint relation {raw!r}: {error!r}"
+                ) from error
+            if not isinstance(name, str) or name in engine._relations:
+                raise CheckpointError(
+                    f"engine checkpoint relation name {name!r} is invalid or "
+                    "repeated"
+                )
             counters = arrays.get(f"counters.{name}")
             if counters is None:
                 raise CheckpointError(
@@ -349,13 +364,17 @@ class OnlineStatisticsEngine:
                     f"engine checkpoint counters for {name!r} have shape "
                     f"{counters.shape}, expected {expected}"
                 )
+            if not np.isfinite(counters).all():
+                raise CheckpointError(
+                    f"engine checkpoint counters for {name!r} are not finite"
+                )
             sketch = build_sketch(header)
             sketch.load_counters(counters)
             scan = ScanState(
                 name=name,
-                total_tuples=int(raw["total_tuples"]),
+                total_tuples=total_tuples,
                 sketch=sketch,
-                scanned=int(raw["scanned"]),
+                scanned=scanned,
             )
             if not 0 <= scan.scanned <= scan.total_tuples:
                 raise CheckpointError(

@@ -67,7 +67,7 @@ from ..rng import SeedLike, as_seed_sequence
 from ..sampling.base import SampleInfo
 from ..sketches.base import Sketch
 from ..sketches.serialization import build_sketch, sketch_header
-from ..variance.bounds import ConfidenceInterval, chebyshev_interval, clt_interval
+from ..variance.bounds import ConfidenceInterval, interval
 from .merge import combine_shard_infos, reduce_counter_tree, sample_size_vector
 from .partition import SHARD_MODES, ShardPlan, make_shard_plan
 from .pool import WorkerPool, available_cpus
@@ -86,18 +86,6 @@ __all__ = [
     "run_sharded_sketch",
     "parallel_update",
 ]
-
-
-def _pick_interval(
-    estimate: float, variance: float, confidence: float, method: str
-) -> ConfidenceInterval:
-    if method == "chebyshev":
-        return chebyshev_interval(estimate, variance, confidence=confidence)
-    if method == "clt":
-        return clt_interval(estimate, variance, confidence=confidence)
-    raise ConfigurationError(
-        f'interval method must be "chebyshev" or "clt", got {method!r}'
-    )
 
 
 @dataclass(frozen=True)
@@ -271,7 +259,7 @@ class DegradedScanResult(ShardedScanResult):
             probability=self.p,
             population=self.population_estimate(),
         )
-        return _pick_interval(
+        return interval(
             estimate, variance + float(extra_variance), confidence, method
         )
 
@@ -335,7 +323,7 @@ class DegradedScanResult(ShardedScanResult):
             population_f=population_f,
             population_g=population_g,
         )
-        return _pick_interval(
+        return interval(
             estimate, variance + float(extra_variance), confidence, method
         )
 

@@ -23,7 +23,7 @@ from ..rng import SeedLike
 from ..sketches.agms import AgmsSketch
 from ..sketches.base import Sketch
 from ..sketches.fagms import FagmsSketch
-from ..variance.bounds import ConfidenceInterval, chebyshev_interval, clt_interval
+from ..variance.bounds import ConfidenceInterval, interval
 
 __all__ = ["AdaptiveSheddingSketcher", "averaged_estimator_count"]
 
@@ -145,13 +145,7 @@ class AdaptiveSheddingSketcher:
         variance = self.shedder.variance_bound(
             estimate, averaged_estimator_count(self.sketch)
         )
-        if method == "chebyshev":
-            return chebyshev_interval(estimate, variance, confidence)
-        if method == "clt":
-            return clt_interval(estimate, variance, confidence)
-        raise ConfigurationError(
-            f"unknown interval method {method!r}; expected 'chebyshev' or 'clt'"
-        )
+        return interval(estimate, variance, confidence, method)
 
     # ------------------------------------------------------------------
     # Persistence

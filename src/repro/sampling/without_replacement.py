@@ -4,7 +4,7 @@ A fixed-size uniform random *subset* of the base relation.  The sample
 frequency vector ``(f′ᵢ)`` is multivariate hypergeometric.  This is the
 sampling model behind online aggregation: the prefix of a random-order scan
 of a relation is exactly a WOR sample of the scanned fraction, which is how
-:mod:`repro.engine.online_aggregation` uses it.
+:mod:`repro.engine` uses it.
 
 Two implementations:
 

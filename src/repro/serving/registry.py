@@ -43,7 +43,7 @@ from ..engine.statistics import OnlineStatisticsEngine
 from ..errors import ConfigurationError
 from ..observability.observer import Observer, as_observer
 from ..rng import SeedLike, as_seed_sequence
-from ..variance.bounds import ConfidenceInterval, chebyshev_interval, clt_interval
+from ..variance.bounds import ConfidenceInterval, interval
 from .expressions import evaluate_expression
 
 __all__ = ["QueryResult", "RotationPolicy", "SketchRegistry", "StreamMeta"]
@@ -313,18 +313,6 @@ class SketchRegistry:
             self._clock() - started
         )
 
-    @staticmethod
-    def _interval(
-        estimate: float, variance: float, confidence: float, method: str
-    ) -> ConfidenceInterval:
-        if method == "clt":
-            return clt_interval(estimate, variance, confidence)
-        if method == "chebyshev":
-            return chebyshev_interval(estimate, variance, confidence)
-        raise ConfigurationError(
-            f"unknown interval method {method!r}; expected 'chebyshev' or 'clt'"
-        )
-
     def point_query(
         self,
         name: str,
@@ -344,7 +332,7 @@ class SketchRegistry:
         result = QueryResult(
             op="point",
             estimate=estimate,
-            interval=self._interval(estimate, variance, confidence, method),
+            interval=interval(estimate, variance, confidence, method),
             variance_bound=variance,
             streams=(self._meta(stream, snapshot),),
         )
@@ -367,7 +355,7 @@ class SketchRegistry:
         result = QueryResult(
             op="self_join",
             estimate=estimate,
-            interval=self._interval(estimate, variance, confidence, method),
+            interval=interval(estimate, variance, confidence, method),
             variance_bound=variance,
             streams=(self._meta(stream, snapshot),),
         )
@@ -395,7 +383,7 @@ class SketchRegistry:
         result = QueryResult(
             op="join",
             estimate=estimate,
-            interval=self._interval(estimate, variance, confidence, method),
+            interval=interval(estimate, variance, confidence, method),
             variance_bound=variance,
             streams=(
                 self._meta(stream_l, snap_l),
@@ -428,13 +416,12 @@ class SketchRegistry:
             pairs.append((snapshot, name))
             metas.append(self._meta(stream, snapshot))
         evaluated = evaluate_expression(op, pairs)
-        interval = self._interval(
-            evaluated.estimate, evaluated.variance_bound, confidence, method
-        )
         result = QueryResult(
             op=op,
             estimate=evaluated.estimate,
-            interval=interval,
+            interval=interval(
+                evaluated.estimate, evaluated.variance_bound, confidence, method
+            ),
             variance_bound=evaluated.variance_bound,
             streams=tuple(metas),
         )

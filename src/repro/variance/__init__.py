@@ -18,7 +18,13 @@ interaction, Figs 1–2), and :mod:`~repro.variance.bounds` turns variances
 into confidence intervals (Section II).
 """
 
-from .bounds import ConfidenceInterval, chebyshev_interval, clt_interval, normal_quantile
+from .bounds import (
+    ConfidenceInterval,
+    chebyshev_interval,
+    clt_interval,
+    interval,
+    normal_quantile,
+)
 from .covariance import (
     averaged_variance,
     averaging_floor_ratio,
@@ -63,6 +69,7 @@ __all__ = [
     "ConfidenceInterval",
     "chebyshev_interval",
     "clt_interval",
+    "interval",
     "normal_quantile",
     "agms_join_variance",
     "agms_self_join_variance",

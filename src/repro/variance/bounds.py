@@ -25,6 +25,7 @@ __all__ = [
     "ConfidenceInterval",
     "chebyshev_interval",
     "clt_interval",
+    "interval",
     "normal_quantile",
 ]
 
@@ -100,6 +101,22 @@ def clt_interval(
         high=float(estimate) + half,
         confidence=confidence,
         method="clt",
+    )
+
+
+def interval(
+    estimate: float, variance: float, confidence: float, method: str
+) -> ConfidenceInterval:
+    """The ``"chebyshev"`` or ``"clt"`` interval, picked by *method*.
+
+    Any other *method* raises :class:`~repro.errors.ConfigurationError`.
+    """
+    if method == "chebyshev":
+        return chebyshev_interval(estimate, variance, confidence)
+    if method == "clt":
+        return clt_interval(estimate, variance, confidence)
+    raise ConfigurationError(
+        f"unknown interval method {method!r}; expected 'chebyshev' or 'clt'"
     )
 
 

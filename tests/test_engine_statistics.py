@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine import OnlineStatisticsEngine
-from repro.errors import ConfigurationError, InsufficientDataError
+from repro.errors import CheckpointError, ConfigurationError, InsufficientDataError
 from repro.streams import generate_tpch, zipf_relation
 
 
@@ -101,13 +101,11 @@ class TestEstimates:
         engine.consume("r", relation.keys)
         from repro.sketches import FagmsSketch
 
+        # Every relation's sketch is spawned off one template seeded like
+        # a plain sketch, so a full scan reproduces the plain estimate.
         plain = FagmsSketch(1024, seed=55)
-        # The engine spawns per-relation sketches off one template with a
-        # shared family; verify against the engine's own template lineage:
-        assert engine.self_join_size("r") == pytest.approx(
-            engine._relations["r"].sketch.second_moment()
-        )
-        _ = plain  # plain comparison is covered by the aggregator tests
+        plain.update(relation.keys)
+        assert engine.self_join_size("r") == pytest.approx(plain.second_moment())
 
 
 class TestSnapshot:
@@ -134,3 +132,56 @@ class TestSnapshot:
         engine.register("a", 100)
         engine.consume("a", np.arange(50))
         assert "a:50%" in repr(engine)
+
+
+def _drop_total(state, arrays):
+    del state["relations"][0]["total_tuples"]
+
+
+def _text_scanned(state, arrays):
+    state["relations"][0]["scanned"] = "x"
+
+
+def _list_record(state, arrays):
+    state["relations"][0] = ["r", 100, 40]
+
+
+def _fractional_scanned(state, arrays):
+    state["relations"][0]["scanned"] = 3.7
+
+
+def _repeated_record(state, arrays):
+    state["relations"].append(dict(state["relations"][0]))
+
+
+def _nan_counter(state, arrays):
+    arrays["counters.r"][0, 0] = np.nan
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _drop_total,
+        _text_scanned,
+        _list_record,
+        _fractional_scanned,
+        _repeated_record,
+        _nan_counter,
+    ],
+)
+def test_malformed_checkpoint_state_raises_checkpoint_error(corrupt):
+    engine = OnlineStatisticsEngine(buckets=64, seed=57)
+    engine.register("r", 100)
+    engine.register("s", 50)
+    engine.consume("r", np.arange(40) % 9)
+    state, arrays = engine.checkpoint_state()
+    state = {
+        "template": state["template"],
+        "relations": [dict(record) for record in state["relations"]],
+    }
+    arrays = {name: np.array(array) for name, array in arrays.items()}
+    # The untouched copy restores; only the corruption makes it fail.
+    OnlineStatisticsEngine.from_checkpoint_state(state, arrays)
+    corrupt(state, arrays)
+    with pytest.raises(CheckpointError):
+        OnlineStatisticsEngine.from_checkpoint_state(state, arrays)

@@ -27,20 +27,24 @@ class TestCliCsvDir:
 
 
 class TestEngineCheckpointEdges:
-    def test_tiny_first_checkpoint_bumped_to_two_tuples(self):
-        from repro.engine import OnlineSelfJoinAggregator
-        from repro.sketches import FagmsSketch
+    def test_tiny_first_checkpoint_has_no_self_join_estimate(self):
+        from repro.engine import OnlineStatisticsEngine, run_lockstep_scan
+        from repro.errors import InsufficientDataError
         from repro.streams import Relation
 
         relation = Relation(np.arange(100) % 7)
-        aggregator = OnlineSelfJoinAggregator(
-            relation, FagmsSketch(32, seed=1), checkpoints=(0.001, 1.0)
+        engine = OnlineStatisticsEngine(buckets=32, seed=1)
+        first, last = run_lockstep_scan(
+            engine, {"r": relation}, checkpoints=(0.001, 1.0)
         )
-        points = list(aggregator.run())
-        # The 0.1% checkpoint would be a single tuple; the unbiasing needs
-        # at least 2, so the aggregator scans 2.
-        assert points[0].tuples_scanned == 2
-        assert points[-1].tuples_scanned == 100
+        # The 0.1% checkpoint is a single tuple; the unbiasing needs at
+        # least 2, so that snapshot has no F2 estimate for the relation.
+        assert first.scanned_tuples("r") == 1
+        assert "r" not in first.self_join_sizes
+        with pytest.raises(InsufficientDataError):
+            first.self_join_size("r")
+        assert last.scanned_tuples("r") == 100
+        assert "r" in last.self_join_sizes
 
 
 class TestCombinerPaths:

@@ -10,7 +10,7 @@ from repro.core.sampling_estimators import (
     sample_self_join_interval,
     sample_self_join_size,
 )
-from repro.errors import DomainError
+from repro.errors import ConfigurationError, DomainError
 from repro.sampling import (
     BernoulliSampler,
     WithReplacementSampler,
@@ -117,6 +117,19 @@ def test_chebyshev_interval_method():
     clt = sample_self_join_interval(estimate, F, info, method="clt")
     chebyshev = sample_self_join_interval(estimate, F, info, method="chebyshev")
     assert chebyshev.half_width > clt.half_width
+
+
+@pytest.mark.parametrize("method", ["bootstrap", "CLT"])
+def test_unknown_interval_method_rejected(method):
+    sampler = BernoulliSampler(0.3)
+    sample_f, info_f = sampler.sample_frequencies(F, seed=5)
+    sample_g, info_g = sampler.sample_frequencies(G, seed=6)
+    estimate = sample_self_join_size(sample_f, info_f, F.domain_size)
+    with pytest.raises(ConfigurationError):
+        sample_self_join_interval(estimate, F, info_f, method=method)
+    join = sample_join_size(sample_f, info_f, sample_g, info_g, F.domain_size)
+    with pytest.raises(ConfigurationError):
+        sample_join_interval(join, F, G, info_f, info_g, method=method)
 
 
 def test_classic_tradeoff_sampling_better_for_join_sketch_for_f2():

@@ -10,6 +10,7 @@ from repro.errors import ConfigurationError
 from repro.variance.bounds import (
     chebyshev_interval,
     clt_interval,
+    interval,
     normal_quantile,
 )
 
@@ -61,6 +62,15 @@ class TestIntervals:
             chebyshev_interval(0.0, 1.0, confidence=1.0)
         with pytest.raises(ConfigurationError):
             chebyshev_interval(0.0, 1.0, confidence=0.0)
+
+    def test_method_switch(self):
+        assert interval(3.0, 4.0, 0.9, "clt") == clt_interval(3.0, 4.0, 0.9)
+        assert interval(3.0, 4.0, 0.9, "chebyshev") == chebyshev_interval(
+            3.0, 4.0, 0.9
+        )
+        for method in ("bootstrap", "CLT", "", None):
+            with pytest.raises(ConfigurationError):
+                interval(3.0, 4.0, 0.9, method)
 
     @pytest.mark.statistical
     def test_clt_coverage_on_gaussian_estimates(self):
