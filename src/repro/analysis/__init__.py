@@ -21,22 +21,24 @@ REP007    pickle-safety         only picklable plain data crosses process seams
 REP008    kernel-seam           sketch updates route through the kernels backend
 REP009    observer-propagation  ``observer=`` forwards through every call chain
 REP010    checkpoint-schema     checkpoint save/restore key sets stay symmetric
+REP011    backoff-discipline    retry delays come from a ``BackoffPolicy``;
+                                every retry loop can give up
+REP012    async-blocking        no blocking calls inside ``async def`` bodies
+REP013    ingest-discipline     no unbounded queues; scans run on
+                                :mod:`repro.dataplane`
 ========  ====================  ================================================
 
 Run it with ``python -m repro.analysis [paths]`` (or the installed
 ``repro-analysis`` script); the tier-1 test suite also executes it over
-``src`` and ``tests`` so a violation fails CI.  ``--jobs N`` parallelizes
-the per-file pass, ``--cache-dir`` enables the content-hash incremental
-cache, and ``-f sarif`` emits a SARIF 2.1.0 report for code scanning.
+``src`` and ``tests`` so a violation fails CI.  ``-f sarif`` emits a
+SARIF 2.1.0 report for code scanning.
 """
 
 from __future__ import annotations
 
-from .cache import AnalysisCache, ruleset_fingerprint
 from .config import AnalysisConfig, RuleConfig, load_config, path_matches
 from .engine import (
     AnalysisResult,
-    analyze_file,
     analyze_paths,
     analyze_source,
     analyze_sources,
@@ -69,7 +71,6 @@ from .resolve import ProjectGraph
 from . import rules as _rules  # noqa: F401  — registers the REP rules
 
 __all__ = [
-    "AnalysisCache",
     "AnalysisConfig",
     "AnalysisResult",
     "FileContext",
@@ -85,7 +86,6 @@ __all__ = [
     "SARIF_VERSION",
     "Severity",
     "all_rules",
-    "analyze_file",
     "analyze_paths",
     "analyze_source",
     "analyze_sources",
@@ -101,6 +101,5 @@ __all__ = [
     "render_json",
     "render_sarif",
     "render_text",
-    "ruleset_fingerprint",
     "summarize_module",
 ]

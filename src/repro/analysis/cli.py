@@ -24,10 +24,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-analysis",
         description=(
             "Repo-specific invariant checker: per-file AST rules "
-            "(REP001–REP006) plus whole-program rules over the project "
-            "call graph — pickle-safety across process seams (REP007), "
-            "kernel-seam bypass (REP008), observer propagation (REP009), "
-            "checkpoint schema symmetry (REP010).  See --list-rules."
+            "(REP001–REP006, REP011–REP013) plus whole-program rules over "
+            "the project call graph — pickle-safety across process seams "
+            "(REP007), kernel-seam bypass (REP008), observer propagation "
+            "(REP009), checkpoint schema symmetry (REP010).  See "
+            "--list-rules."
         ),
     )
     parser.add_argument(
@@ -57,20 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ignore",
         default=None,
         help="comma-separated rule codes to skip (applied after --select)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the per-file pass over N worker processes (default: serial)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="content-hash incremental cache directory; unchanged files "
-        "and unchanged trees skip re-analysis (default: no cache)",
     )
     parser.add_argument(
         "--list-rules",
@@ -119,29 +106,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if unknown:
             parser.error(f"unknown {label} rule code(s): {sorted(unknown)}")
 
-    if args.jobs is not None and args.jobs < 1:
-        parser.error("--jobs must be a positive integer")
-
     root = Path(args.root)
     if not root.is_dir():
         parser.error(f"--root {args.root!r} is not a directory")
 
     # A typo'd path must not pass green: "checked 0 file(s)" from a CI line
     # like `repro-analysis scr tests` would silently disable enforcement.
+    # Nor may a path that discovery would skip: a non-Python file, or
+    # anything outside the root.
     for raw in args.paths:
         path = Path(raw)
         if not path.is_absolute():
             path = root / path
         if not path.exists():
             parser.error(f"path {raw!r} does not exist under root {args.root!r}")
+        if not (path.is_dir() or path.suffix == ".py"):
+            parser.error(f"path {raw!r} is neither a directory nor a .py file")
+        if not path.resolve().is_relative_to(root.resolve()):
+            parser.error(f"path {raw!r} lies outside root {args.root!r}")
 
     result = analyze_paths(
-        paths=args.paths or None,
-        root=root,
-        select=select,
-        ignore=ignore,
-        jobs=args.jobs,
-        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
+        paths=args.paths or None, root=root, select=select, ignore=ignore
     )
     if args.format == "json":
         print(render_json(result))

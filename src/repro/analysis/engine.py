@@ -1,17 +1,18 @@
 """Analysis driver: discovery, suppressions, two-pass rule dispatch.
 
-The engine runs in two passes:
+The engine runs in two passes over one set of parsed files:
 
-1. **Per-file** — every file is parsed and the per-file :class:`Rule`
-   objects run on it in isolation.  This pass is embarrassingly parallel
-   (``jobs=N`` fans it out over a process pool) and cacheable per file
-   (content hash; see :mod:`repro.analysis.cache`).
+1. **Per-file** — every file is parsed once into a :class:`FileContext`
+   (source, tree and import table) and the per-file :class:`Rule`
+   objects run on it in isolation.
 2. **Whole-program** — the parsed modules are summarized
    (:func:`repro.analysis.graph.summarize_module`) and stitched into a
    :class:`repro.analysis.resolve.ProjectGraph`; the
-   :class:`ProjectRule` objects then run once over the whole tree.  This
-   pass is cached on the tree hash, because a cross-module finding in
-   one file can be caused by an edit in another.
+   :class:`ProjectRule` objects then run once over the whole tree.
+
+:func:`analyze_sources` runs both passes for every entry point:
+:func:`analyze_paths` reads a tree from disk and hands it over, and
+:func:`analyze_source` hands over one in-memory file.
 
 Suppression syntax
 ------------------
@@ -37,12 +38,12 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import io
 import re
-from concurrent.futures import ProcessPoolExecutor
+import tokenize
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .cache import AnalysisCache, file_sha, ruleset_fingerprint, tree_sha
 from .config import AnalysisConfig, load_config
 from .graph import summarize_module
 from .registry import (
@@ -60,7 +61,6 @@ __all__ = [
     "AnalysisResult",
     "analyze_source",
     "analyze_sources",
-    "analyze_file",
     "analyze_paths",
     "discover_files",
     "parse_suppressions",
@@ -98,8 +98,6 @@ class AnalysisResult:
     findings: list
     files_checked: int
     suppressed: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def errors(self) -> list:
@@ -247,9 +245,7 @@ def _run_project_rules(
             active.append((rule, rule_config, targets))
     if not active:
         return [], 0
-    infos = [
-        summarize_module(contexts[rel].tree, rel) for rel in sorted(contexts)
-    ]
+    infos = [summarize_module(contexts[rel]) for rel in sorted(contexts)]
     graph = ProjectGraph.build(infos)
     findings: list[Finding] = []
     suppressed = 0
@@ -300,24 +296,6 @@ def _per_file(
     return findings, suppressed, ctx, suppressions
 
 
-def _analyze_file_worker(args):
-    """Process-pool entry point for pass 1 (top-level, plain-data args).
-
-    Receives ``(source, rel_path, config, selected_or_None)`` and returns
-    ``(rel_path, finding_dicts, suppressed)`` — everything picklable, so
-    the analyzer passes its own REP007 check.
-    """
-    source, rel_path, config, selected = args
-    # Rules register on import; a fresh worker interpreter needs them.
-    from . import rules as _rules  # noqa: F401  (import for side effect)
-
-    selected_set = set(selected) if selected is not None else None
-    findings, suppressed, _, _ = _per_file(
-        source, rel_path, config, selected_set
-    )
-    return rel_path, [f.to_dict() for f in findings], suppressed
-
-
 def analyze_source(
     source: str,
     rel_path: str,
@@ -330,20 +308,8 @@ def analyze_source(
     Project rules run too, over a single-file project — so cross-module
     rules can be exercised on self-contained snippets.
     """
-    config = config or AnalysisConfig()
-    selected = _selected_codes(select, ignore)
-    findings, suppressed, ctx, suppressions = _per_file(
-        source, rel_path, config, selected
-    )
-    if ctx is not None:
-        project_findings, project_suppressed = _run_project_rules(
-            {rel_path: ctx}, {rel_path: suppressions}, config, selected
-        )
-        findings.extend(project_findings)
-        suppressed += project_suppressed
-    findings.sort()
-    return AnalysisResult(
-        findings=findings, files_checked=1, suppressed=suppressed
+    return analyze_sources(
+        {rel_path: source}, config=config, select=select, ignore=ignore
     )
 
 
@@ -353,10 +319,10 @@ def analyze_sources(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
 ) -> AnalysisResult:
-    """Analyze a dict of ``rel_path -> source`` as one in-memory project.
+    """Analyze a dict of ``rel_path -> source`` as one project.
 
-    The cross-module test entry point: both passes run, with the project
-    graph spanning every parseable file in *sources*.
+    Both passes run, with the project graph spanning every parseable
+    file in *sources*.
     """
     config = config or AnalysisConfig()
     selected = _selected_codes(select, ignore)
@@ -382,18 +348,6 @@ def analyze_sources(
     return AnalysisResult(
         findings=findings, files_checked=len(sources), suppressed=suppressed
     )
-
-
-def analyze_file(
-    path: Path,
-    root: Path,
-    config: Optional[AnalysisConfig] = None,
-    select: Optional[Iterable[str]] = None,
-) -> AnalysisResult:
-    """Analyze one on-disk file, reporting paths relative to *root*."""
-    rel_path = path.resolve().relative_to(root.resolve()).as_posix()
-    source = path.read_text(encoding="utf-8")
-    return analyze_source(source, rel_path, config=config, select=select)
 
 
 def discover_files(
@@ -429,14 +383,13 @@ def analyze_paths(
     config: Optional[AnalysisConfig] = None,
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[Path] = None,
 ) -> AnalysisResult:
-    """Analyze a tree: the library entry point behind the CLI and tests.
+    """Analyze a tree on disk: the library entry point behind the CLI.
 
-    ``jobs > 1`` fans pass 1 out over a process pool; pass 2 always runs
-    in the coordinator (it needs the whole graph).  ``cache_dir`` enables
-    the content-hash incremental cache for both passes.
+    Discovers the ``.py`` files under *paths* (default: the configured
+    ``paths``), decodes each one and runs :func:`analyze_sources` over
+    them.  A file that does not decode is reported as ``REP000``, like a
+    file that does not parse.
     """
     root = Path(root) if root is not None else Path.cwd()
     if config is None:
@@ -444,94 +397,30 @@ def analyze_paths(
     else:
         # Rules register on import; an explicit config skips load_config.
         from . import rules as _rules  # noqa: F401  (import for side effect)
-    selected = _selected_codes(select, ignore)
     targets = [Path(p) for p in paths] if paths else list(config.paths)
-    files = discover_files(targets, root, config.exclude)
     resolved_root = root.resolve()
-    order: list[str] = []
     sources: dict = {}
-    for path in files:
-        rel = path.resolve().relative_to(resolved_root).as_posix()
-        order.append(rel)
-        sources[rel] = path.read_text(encoding="utf-8")
-    shas = {rel: file_sha(sources[rel]) for rel in order}
-
-    cache = None
-    if cache_dir is not None:
-        cache = AnalysisCache(cache_dir, ruleset_fingerprint(config, selected))
-
-    findings: list[Finding] = []
-    suppressed = 0
-    parsed: dict = {}  # rel_path -> (ctx_or_None, suppressions)
-    pending: list[str] = []
-    for rel in order:
-        entry = cache.get_file(rel, shas[rel]) if cache else None
-        if entry is not None:
-            findings.extend(entry.findings)
-            suppressed += entry.suppressed
-        else:
-            pending.append(rel)
-
-    if pending and jobs is not None and jobs > 1:
-        selected_arg = tuple(sorted(selected)) if selected is not None else None
-        worker_args = [
-            (sources[rel], rel, config, selected_arg) for rel in pending
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for rel, finding_dicts, file_suppressed in pool.map(
-                _analyze_file_worker, worker_args
-            ):
-                file_findings = [Finding.from_dict(f) for f in finding_dicts]
-                findings.extend(file_findings)
-                suppressed += file_suppressed
-                if cache:
-                    cache.put_file(rel, shas[rel], file_findings, file_suppressed)
-    else:
-        for rel in pending:
-            file_findings, file_suppressed, ctx, suppressions = _per_file(
-                sources[rel], rel, config, selected
-            )
-            findings.extend(file_findings)
-            suppressed += file_suppressed
-            parsed[rel] = (ctx, suppressions)
-            if cache:
-                cache.put_file(rel, shas[rel], file_findings, file_suppressed)
-
-    tree_key = tree_sha(shas)
-    entry = cache.get_project(tree_key) if cache else None
-    if entry is not None:
-        findings.extend(entry.findings)
-        suppressed += entry.suppressed
-    else:
-        contexts: dict = {}
-        suppressions_by_file: dict = {}
-        for rel in order:
-            if rel in parsed:
-                ctx, suppressions = parsed[rel]
-            else:
-                try:
-                    ctx = FileContext.from_source(sources[rel], rel)
-                    suppressions = effective_suppressions(sources[rel], ctx.tree)
-                except SyntaxError:
-                    ctx, suppressions = None, {}
-            if ctx is not None:
-                contexts[rel] = ctx
-                suppressions_by_file[rel] = suppressions
-        project_findings, project_suppressed = _run_project_rules(
-            contexts, suppressions_by_file, config, selected
-        )
-        findings.extend(project_findings)
-        suppressed += project_suppressed
-        if cache:
-            cache.put_project(tree_key, project_findings, project_suppressed)
-
-    if cache:
-        cache.save()
-    findings.sort()
-    return AnalysisResult(
-        findings=findings,
-        files_checked=len(order),
-        suppressed=suppressed,
-        cache_hits=cache.hits if cache else 0,
-        cache_misses=cache.misses if cache else 0,
+    undecodable: list[Finding] = []
+    for path in discover_files(targets, root, config.exclude):
+        rel = path.relative_to(resolved_root).as_posix()
+        raw = io.BytesIO(path.read_bytes())
+        try:
+            # As tokenize.open: a PEP 263 cookie or a BOM picks the codec,
+            # else UTF-8.  Reading from memory keeps the absolute path out
+            # of the error messages.
+            encoding, _ = tokenize.detect_encoding(raw.readline)
+            raw.seek(0)
+            sources[rel] = io.TextIOWrapper(raw, encoding).read()
+        except (SyntaxError, UnicodeDecodeError) as exc:
+            line = 1  # detect_encoding's SyntaxError carries no position
+            if isinstance(exc, UnicodeDecodeError):
+                line = exc.object.count(b"\n", 0, exc.start) + 1
+            message = f"file does not decode: {exc}"
+            undecodable.append(Finding(rel, line, 0, "REP000", message))
+    result = analyze_sources(
+        sources, config=config, select=select, ignore=ignore
     )
+    if undecodable:
+        result.findings = sorted(result.findings + undecodable)
+        result.files_checked += len(undecodable)
+    return result

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .astutils import ImportTable, qualified_name
+from .registry import FileContext
 
 __all__ = [
     "CallSite",
@@ -363,20 +364,20 @@ class _ModuleSummarizer(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def summarize_module(tree: ast.Module, rel_path: str) -> ModuleInfo:
-    """Extract one file's :class:`ModuleInfo` from its parsed AST."""
+def summarize_module(ctx: FileContext) -> ModuleInfo:
+    """Extract one file's :class:`ModuleInfo` from its parsed context."""
+    rel_path = ctx.rel_path
     name = module_name_for(rel_path)
-    imports = ImportTable(tree)
     info = ModuleInfo(rel_path=rel_path, name=name)
     package = (
         name if rel_path.endswith("/__init__.py") else name.rpartition(".")[0]
     )
-    summarizer = _ModuleSummarizer(info, imports, package)
-    for stmt in tree.body:
+    summarizer = _ModuleSummarizer(info, ctx.imports, package)
+    for stmt in ctx.tree.body:
         summarizer.visit(stmt)
     info.imports = {
         alias: _absolutize(target, package)
-        for alias, target in imports.aliases.items()
+        for alias, target in ctx.imports.aliases.items()
     }
     info.calls = tuple(summarizer.calls)
     return info

@@ -12,7 +12,7 @@ one ``REPnnn`` code, in two shapes:
   *cross-module* invariants (pickle-safety across process seams,
   observer propagation through call chains, …).
 
-The engine owns file discovery, suppression comments, caching, and
+The engine owns file discovery, suppression comments, and
 severity/exit-code policy, so rules stay small and testable in isolation.
 """
 
@@ -22,6 +22,8 @@ import ast
 import dataclasses
 import enum
 from typing import Callable, Iterator, Optional
+
+from .astutils import ImportTable
 
 __all__ = [
     "Severity",
@@ -75,18 +77,6 @@ class Finding:
             "severity": self.severity.value,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Finding":
-        """Rebuild a finding from :meth:`to_dict` output (cache/workers)."""
-        return cls(
-            path=payload["path"],
-            line=int(payload["line"]),
-            column=int(payload["column"]),
-            code=payload["code"],
-            message=payload["message"],
-            severity=Severity(payload["severity"]),
-        )
-
 
 @dataclasses.dataclass
 class FileContext:
@@ -94,6 +84,8 @@ class FileContext:
 
     ``rel_path`` is the path relative to the analysis root using ``/``
     separators — all include/exclude patterns match against it.
+    ``imports`` is the file's import table, built once by
+    :meth:`from_source` and shared by every rule and the graph pass.
     """
 
     rel_path: str
@@ -101,6 +93,7 @@ class FileContext:
     tree: ast.Module
     lines: tuple[str, ...]
     options: dict
+    imports: ImportTable
 
     @classmethod
     def from_source(
@@ -114,6 +107,7 @@ class FileContext:
             tree=tree,
             lines=tuple(source.splitlines()),
             options=dict(options or {}),
+            imports=ImportTable(tree),
         )
 
 
@@ -145,17 +139,12 @@ class Rule:
     ``default_include``/``default_exclude`` are pattern lists (see
     :func:`repro.analysis.config.path_matches`) restricting which files the
     rule runs on; both can be overridden from ``pyproject.toml``.
-    ``version`` participates in the incremental cache key — bump it
-    whenever the rule's behaviour changes, or stale cached findings will
-    survive a re-run.
     """
 
     code: str = "REP000"
     name: str = "unnamed"
     description: str = ""
     default_severity: Severity = Severity.ERROR
-    #: Cache-key component; bump on any behavioural change.
-    version: int = 1
     #: Patterns the rule is restricted to (empty = every analyzed file).
     default_include: tuple[str, ...] = ()
     #: Patterns the rule never runs on.

@@ -118,7 +118,7 @@ class AsyncBlockingRule(Rule):
     default_exclude = ("tests",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ImportTable(ctx.tree)
+        imports = ctx.imports
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.AsyncFunctionDef):
                 yield from self._check_coroutine(ctx, node, imports)

@@ -94,7 +94,7 @@ class BackoffDisciplineRule(Rule):
     default_exclude = ("tests",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ImportTable(ctx.tree)
+        imports = ctx.imports
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.While, ast.For)):
                 continue

@@ -23,7 +23,7 @@ import ast
 from typing import Iterator
 
 from ..registry import FileContext, Finding, Rule, register_rule
-from .common import ImportTable, qualified_name
+from .common import qualified_name
 
 __all__ = ["DeterminismRule"]
 
@@ -94,7 +94,7 @@ class DeterminismRule(Rule):
         # Only *calls* are flagged: referencing ``np.random.Generator`` in a
         # type annotation (or isinstance check) is legitimate; constructing
         # or reseeding one is not.
-        imports = ImportTable(ctx.tree)
+        imports = ctx.imports
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue

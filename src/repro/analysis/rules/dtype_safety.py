@@ -114,7 +114,7 @@ class DtypeSafetyRule(Rule):
     default_exclude = ("src/repro/kernels/native.py",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ImportTable(ctx.tree)
+        imports = ctx.imports
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue

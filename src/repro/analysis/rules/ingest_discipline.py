@@ -135,7 +135,7 @@ class IngestDisciplineRule(Rule):
     default_exclude = ("src/repro/dataplane", "tests")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ImportTable(ctx.tree)
+        imports = ctx.imports
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
                 yield from self._check_queue(ctx, node, imports)

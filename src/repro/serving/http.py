@@ -272,6 +272,12 @@ class _QueryServer:
                     # server is shutting down while this keep-alive
                     # connection sat idle between requests.
                     break
+                except _HttpError as exc:
+                    # A bad or oversized Content-Length: the body's extent
+                    # is unknown, so answer without reading it and close
+                    # (closing flushes the answer).
+                    self._respond(writer, exc.status, {"error": exc.message})
+                    break
                 keep_alive = headers.get("connection", "").lower() != "close"
                 status = 500
                 parts = urlsplit(target)
@@ -338,9 +344,14 @@ class _QueryServer:
             if ":" in line:
                 key, value = line.split(":", 1)
                 headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _HttpError(400, f"bad Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > _MAX_BODY_BYTES:
-            raise asyncio.LimitOverrunError("body too large", length)
+            raise _HttpError(
+                413, f"body of {length} bytes exceeds {_MAX_BODY_BYTES}"
+            )
         body = await reader.readexactly(length) if length else b""
         return method, target, headers, body
 

@@ -38,4 +38,7 @@ def test_all_shipped_rules_are_registered_and_enforced():
         "REP008",
         "REP009",
         "REP010",
+        "REP011",
+        "REP012",
+        "REP013",
     } <= set(RULE_REGISTRY)

@@ -58,12 +58,20 @@ class TestMain:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
-    def test_nonexistent_path_is_usage_error(self, bad_tree, capsys):
-        # A typo'd path in a CI line must not silently check 0 files.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--root", str(bad_tree), "srk"])
-        assert excinfo.value.code == 2
-        capsys.readouterr()
+    def test_nonexistent_path_is_usage_error(
+        self, bad_tree, tmp_path_factory, capsys
+    ):
+        # A typo'd path in a CI line must not silently check 0 files, and
+        # neither may a path that discovery skips: a non-Python file, a
+        # directory outside the root, or a .py file outside the root.
+        _write(bad_tree, "README.md", "# notes\n")
+        outside = tmp_path_factory.mktemp("outside")
+        _write(outside, "stray.py", "import numpy as np\n")
+        for raw in ("srk", "README.md", str(outside), str(outside / "stray.py")):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["--root", str(bad_tree), raw])
+            assert excinfo.value.code == 2, raw
+            capsys.readouterr()
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
@@ -79,6 +87,9 @@ class TestMain:
             "REP008",
             "REP009",
             "REP010",
+            "REP011",
+            "REP012",
+            "REP013",
         ):
             assert code in out
 
@@ -86,6 +97,28 @@ class TestMain:
         _write(tmp_path, "src/repro/broken.py", "def broken(:\n")
         assert main(["--root", str(tmp_path), "src"]) == 1
         assert "REP000" in capsys.readouterr().out
+
+    def test_coding_cookie_is_honoured(self, tmp_path, capsys):
+        target = tmp_path / "src/repro/latin.py"
+        target.parent.mkdir(parents=True)
+        target.write_bytes(b'# -*- coding: latin-1 -*-\nNAME = "caf\xe9"\n')
+        assert main(["--root", str(tmp_path), "src"]) == 0
+        assert "checked 1 file(s)" in capsys.readouterr().out
+
+    def test_undecodable_file_reported_as_rep000(self, tmp_path, capsys):
+        package = tmp_path / "src/repro"
+        package.mkdir(parents=True)
+        (package / "bogus.py").write_bytes(b"# coding: bogus\nX = 1\n")
+        (package / "stray.py").write_bytes(b'X = 1\nNAME = "caf\xe9"\n')
+        assert main(["--root", str(tmp_path), "-f", "json", "src"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["files_checked"] == 2
+        assert [
+            (f["code"], f["path"], f["line"]) for f in report["findings"]
+        ] == [
+            ("REP000", "src/repro/bogus.py", 1),
+            ("REP000", "src/repro/stray.py", 2),
+        ]
 
 
 class TestSelectionFlags:
@@ -142,44 +175,6 @@ class TestSarifFormat:
         assert payload["version"] == "2.1.0"
         results = payload["runs"][0]["results"]
         assert results and results[0]["ruleId"] == "REP001"
-
-
-class TestJobsFlag:
-    def test_parallel_run_matches_serial(self, bad_tree, capsys):
-        assert main(["--root", str(bad_tree), "-f", "json", "src"]) == 1
-        serial = json.loads(capsys.readouterr().out)
-        assert (
-            main(["--root", str(bad_tree), "-f", "json", "--jobs", "2", "src"])
-            == 1
-        )
-        parallel = json.loads(capsys.readouterr().out)
-        assert parallel["findings"] == serial["findings"]
-
-    def test_zero_jobs_is_usage_error(self, bad_tree, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--root", str(bad_tree), "--jobs", "0", "src"])
-        assert excinfo.value.code == 2
-        capsys.readouterr()
-
-
-class TestCacheDirFlag:
-    def test_warm_run_reproduces_exit_and_findings(self, bad_tree, capsys):
-        cache_dir = bad_tree / ".analysis-cache"
-        argv = [
-            "--root",
-            str(bad_tree),
-            "--cache-dir",
-            str(cache_dir),
-            "-f",
-            "json",
-            "src",
-        ]
-        assert main(argv) == 1
-        cold = json.loads(capsys.readouterr().out)
-        assert list(cache_dir.glob("*.json")), "cache index not written"
-        assert main(argv) == 1
-        warm = json.loads(capsys.readouterr().out)
-        assert warm["findings"] == cold["findings"]
 
 
 class TestNoTomlParser:

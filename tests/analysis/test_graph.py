@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
-import ast
 import pickle
 import textwrap
 
 import pytest
 
+from repro.analysis import FileContext
 from repro.analysis.graph import module_name_for, summarize_module
 from repro.analysis.resolve import ProjectGraph
 
 
 def _summarize(source: str, rel_path: str):
-    return summarize_module(ast.parse(textwrap.dedent(source)), rel_path)
+    ctx = FileContext.from_source(textwrap.dedent(source), rel_path)
+    return summarize_module(ctx)
 
 
 def _graph(sources) -> ProjectGraph:
@@ -76,7 +77,6 @@ class TestSummaries:
         assert inner.parent_function == "outer"
 
     def test_summaries_are_picklable(self):
-        # ModuleInfo crosses the --jobs process pool; it must pickle.
         info = _summarize("def f():\n    return 1\n", "src/repro/demo.py")
         assert pickle.loads(pickle.dumps(info)).name == "repro.demo"
 

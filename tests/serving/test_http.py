@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -218,6 +219,32 @@ class TestBoundaryInputs:
             assert json.loads(response.read())["status"] == "ok"
         finally:
             conn.close()
+
+    @pytest.mark.parametrize(
+        ("length", "status"),
+        [(b"-5", 400), (b"abc", 400), (b"70000", 413)],
+        ids=["negative", "non-numeric", "over-limit"],
+    )
+    def test_bad_content_length_is_answered_then_closed(
+        self, service, length, status
+    ):
+        _, handle = service
+        request = (
+            b"POST /v1/query/expression HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n"
+        )
+        with socket.create_connection((handle.host, handle.port), 10) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        assert status_line.split(" ", 2)[1] == str(status)
+        assert "Connection: close" in header_lines
+        assert json.loads(body)["error"]
+        # The server is still up for the next client.
+        assert get(f"{handle.url}/healthz")[0] == 200
 
 
 class TestAdmission:
