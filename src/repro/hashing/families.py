@@ -18,6 +18,8 @@ arithmetic.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..errors import ConfigurationError, DomainError
@@ -61,7 +63,12 @@ def _reduce31(acc: np.ndarray, scratch: np.ndarray, bound: int) -> None:
     np.minimum(acc, scratch, out=acc)
 
 
-def _horner_all(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _horner_all(
+    coefficients: np.ndarray,
+    x: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Evaluate every row's polynomial mod ``p`` in one vectorized pass.
 
     Lazily-reduced Horner: between iterations the accumulator is only
@@ -71,13 +78,18 @@ def _horner_all(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
     suffice (degree ≥ 4).  The final :func:`_reduce31` restores the
     canonical residue, so the output is bit-identical to the per-row
     exact-reduction path of :meth:`PolynomialHashFamily.evaluate_row`.
+
+    *out* and *scratch* are optional caller-owned ``(rows, n)`` uint64
+    buffers (disjoint from each other and from *x*); the result is
+    written into *out* and returned.  Omitted ones are allocated.
     """
     rows, k = coefficients.shape
-    acc = np.empty((rows, x.size), dtype=np.uint64)
+    acc = np.empty((rows, x.size), dtype=np.uint64) if out is None else out
     acc[...] = coefficients[:, :1]
     if x.size == 0 or k == 1:
         return acc
-    scratch = np.empty_like(acc)
+    if scratch is None:
+        scratch = np.empty_like(acc)
     bound = MERSENNE_P31 - 1  # worst case: acc <= bound, tracked exactly
     for j in range(1, k):
         value_bound = (bound + 1) * (MERSENNE_P31 - 1)
@@ -93,21 +105,32 @@ def _horner_all(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _bucket_reduce(values: np.ndarray, buckets: int) -> np.ndarray:
-    """``mod buckets`` over canonical hash values, mutating in place.
+def _bucket_reduce(
+    values: np.ndarray, buckets: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``mod buckets`` over canonical hash values as ``int64``.
 
-    Avoids the slow unsigned 64-bit division — an in-place mask plus a
-    free ``view(int64)`` reinterpretation when ``buckets`` is a power of
-    two (residues are < 2³¹ so the bit pattern is unchanged), 32-bit
+    Avoids the slow unsigned 64-bit division — a mask plus a free
+    ``view(int64)`` reinterpretation when ``buckets`` is a power of two
+    (residues are < 2³¹ so the bit pattern is unchanged), 32-bit
     division otherwise (hash values and bucket counts both fit in int32
-    by construction).  Shared by :func:`_bucket_all` and the numpy
-    backend's fused update so the two stay bit-identical.
+    by construction; the ufunc casts through its own small buffers).
+    Without *out* a power-of-two reduction mutates *values* in place and
+    returns its view; with *out* — a caller-owned ``(rows, n)`` int64
+    buffer disjoint from *values* — the result goes there.  Shared by
+    :func:`_bucket_all` and the numpy backend's fused update so the two
+    stay bit-identical.
     """
     if buckets & (buckets - 1) == 0:
-        values &= np.uint64(buckets - 1)
-        return values.view(np.int64)
-    reduced = values.astype(np.int32) % np.int32(buckets)
-    return reduced.astype(np.int64)
+        target = values if out is None else out.view(np.uint64)
+        np.bitwise_and(values, np.uint64(buckets - 1), out=target)
+        return target.view(np.int64)
+    if out is None:
+        out = np.empty(values.shape, dtype=np.int64)
+    np.remainder(
+        values, np.int32(buckets), out=out, dtype=np.int32, casting="unsafe"
+    )
+    return out
 
 
 def _bucket_all(coefficients: np.ndarray, x: np.ndarray, buckets: int) -> np.ndarray:

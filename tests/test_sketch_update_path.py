@@ -78,7 +78,7 @@ def _replay(sketch, keys, weights) -> None:
 @pytest.mark.parametrize("kind", sorted(SKETCHES))
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
-@pytest.mark.parametrize("n", [1, 2048])
+@pytest.mark.parametrize("n", [1, 2048, 40_000])
 def test_update_matches_replayed_primitives(backend, kind, weighted, dtype, n):
     with use_backend(backend):
         sketch = SKETCHES[kind]()
