@@ -41,9 +41,11 @@ import subprocess
 import sys
 import time
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.dataplane import IterableSource, Pipeline, RegistrySink
 from repro.engine import OnlineStatisticsEngine
 from repro.serving import RotationPolicy, SketchRegistry, serve_in_thread
 
@@ -199,26 +201,35 @@ def _latency_profile(handle) -> dict:
 
 
 def _qps_under_ingest(chunks) -> float:
-    """Unthrottled query throughput while the stream is being consumed."""
+    """Unthrottled query throughput while the stream is being consumed.
+
+    The window closes after one second or when the ingest ends,
+    whichever comes first, so every counted query ran under ingest.
+    """
 
     def slow_chunks():
         for chunk in chunks[1:]:  # chunk 0 is the warm-up ingest below
-            time.sleep(0.001)  # stretch the scan past the measuring window
+            time.sleep(0.001)  # pace the scan so queries interleave with it
             yield chunk
 
     registry = SketchRegistry(buckets=BUCKETS, rows=ROWS, seed=SEED)
     registry.register_stream("s", TUPLES)
     registry.ingest("s", chunks[0])
-    with serve_in_thread(registry) as handle:
-        registry.start_ingest("s", slow_chunks())
+    pipeline = Pipeline(
+        IterableSource(slow_chunks()),
+        sinks=[RegistrySink(registry, "s")],
+        queue_depth=0,
+    )
+    with serve_in_thread(registry) as handle, ThreadPoolExecutor(1) as pool:
+        ingest = pool.submit(pipeline.run)
         url = f"{handle.url}/v1/query/self_join?stream=s"
         served = 0
         start = time.perf_counter()
-        while time.perf_counter() - start < 1.0:
+        while time.perf_counter() - start < 1.0 and not ingest.done():
             _get(url)
             served += 1
         elapsed = time.perf_counter() - start
-        registry.wait_ingest("s")
+        ingest.result()  # re-raises an ingest failure here
     return served / elapsed
 
 

@@ -15,16 +15,18 @@ ingestion never blocks on queries, queries never see a torn update.
 Ingestion runs as dataplane pipelines — a paced
 :class:`~repro.dataplane.IterableSource` feeding a
 :class:`~repro.dataplane.RegistrySink` over a bounded queue, with a
-final snapshot rotation on flush — instead of hand-rolled scan threads.
+final snapshot rotation on flush — on executor threads whose results the
+demo takes, so a failing source or chunk raises here instead of dying
+silently on a background thread.
 
 Run:  python examples/serving_demo.py
 """
 
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 
@@ -84,24 +86,23 @@ def main() -> None:
             time.sleep(0.005)  # slow the scan so mid-flight queries land
             yield chunk
 
-    def ingest_pipeline(name, chunks) -> threading.Thread:
+    def ingest_pipeline(pool, name, chunks) -> Future:
         pipeline = Pipeline(
             IterableSource(paced(chunks)),
             sinks=[RegistrySink(registry, name)],
             queue_depth=4,
         )
-        thread = threading.Thread(
-            target=pipeline.run, name=f"ingest-{name}", daemon=True
-        )
-        thread.start()
-        return thread
+        return pool.submit(pipeline.run)
 
-    with serve_in_thread(registry, admission=admission) as handle:
+    with (
+        serve_in_thread(registry, admission=admission) as handle,
+        ThreadPoolExecutor(2, thread_name_prefix="ingest") as pool,
+    ):
         print(f"query service on {handle.url}, scanning "
               f"{LINEITEM_TUPLES:,} lineitem + {ORDERS_TUPLES:,} orders tuples")
         scans = [
-            ingest_pipeline("lineitem", np.array_split(lineitem, CHUNKS)),
-            ingest_pipeline("orders", np.array_split(orders, CHUNKS)),
+            ingest_pipeline(pool, "lineitem", np.array_split(lineitem, CHUNKS)),
+            ingest_pipeline(pool, "orders", np.array_split(orders, CHUNKS)),
         ]
 
         print("\nestimates while the scan is in flight:")
@@ -113,7 +114,7 @@ def main() -> None:
             show("self-join(lineitem)", answer)
 
         for scan in scans:
-            scan.join()
+            scan.result()  # re-raises a failed ingest
         print("\nestimates at the end of the scan:")
         show(
             "self-join(lineitem)",

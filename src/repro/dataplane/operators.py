@@ -163,24 +163,23 @@ class SketchUpdateOperator(Operator):
 class EngineOperator(Operator):
     """Feed one relation of an :class:`OnlineStatisticsEngine` in passing.
 
-    Calls ``engine.consume(relation, keys, **consume_kwargs)`` per
-    envelope and forwards the envelope unchanged — the composable form
-    of the lockstep scan's inner loop.
+    Calls ``engine.consume(relation, keys)`` per envelope and forwards
+    the envelope unchanged — the composable form of the lockstep scan's
+    inner loop.
     """
 
     name = "engine"
 
-    def __init__(self, engine, relation: str, **consume_kwargs) -> None:
+    def __init__(self, engine, relation: str) -> None:
         self.engine = engine
         self.relation = str(relation)
-        self.consume_kwargs = consume_kwargs
         self.tuples = 0
 
     def process(self, envelope: ChunkEnvelope) -> Iterator[ChunkEnvelope]:
         """Consume the batch into the engine, then forward the envelope."""
         keys = np.asarray(envelope.keys)
         if keys.size:
-            self.engine.consume(self.relation, keys, **self.consume_kwargs)
+            self.engine.consume(self.relation, keys)
         self.tuples += int(keys.size)
         yield envelope
 

@@ -36,6 +36,7 @@ from ..streams.io import PathLike, iter_chunks
 __all__ = [
     "FileSource",
     "IterableSource",
+    "MAX_FRAME_KEYS",
     "MicroBatchSource",
     "SocketSource",
     "Source",
@@ -44,6 +45,10 @@ __all__ = [
 ]
 
 _FRAME_HEADER = struct.Struct("<Q")
+
+#: Most keys one :class:`SocketSource` frame may declare (a 128 MiB
+#: payload); a larger count is rejected before any payload is read.
+MAX_FRAME_KEYS = 1 << 24
 
 
 class Source:
@@ -177,9 +182,9 @@ class SocketSource(Source):
 
     Frame format: an 8-byte little-endian unsigned count, then ``count``
     little-endian ``int64`` keys.  A clean EOF at a frame boundary ends
-    the stream; EOF mid-frame raises
-    :class:`~repro.errors.StreamIntegrityError`.  The writer side is
-    :func:`send_frames`.
+    the stream; EOF mid-frame, or a count above :data:`MAX_FRAME_KEYS`,
+    raises :class:`~repro.errors.StreamIntegrityError`.  The writer side
+    is :func:`send_frames`.
     """
 
     name = "socket"
@@ -214,6 +219,11 @@ class SocketSource(Source):
             if not header:
                 return
             (count,) = _FRAME_HEADER.unpack(header)
+            if count > MAX_FRAME_KEYS:
+                raise StreamIntegrityError(
+                    f"socket frame declares {count} keys, above the "
+                    f"{MAX_FRAME_KEYS}-key frame limit"
+                )
             payload = self._read_exact(8 * count, eof_ok=False) if count else b""
             keys = np.frombuffer(payload, dtype="<i8").astype(np.int64)
             yield make_envelope(sequence, keys)
@@ -225,6 +235,8 @@ def send_frames(conn: socket.socket, chunks: Iterable) -> int:
 
     Returns the number of tuples sent.  The caller owns the socket and
     signals end-of-stream by closing (or shutting down) its write side.
+    Each chunk is one frame, so the reader rejects a chunk of more than
+    :data:`MAX_FRAME_KEYS` keys.
     """
     sent = 0
     for chunk in chunks:

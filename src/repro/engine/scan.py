@@ -64,9 +64,6 @@ def run_lockstep_scan(
     checkpoint_dir=None,
     keep_checkpoints: int = 2,
     resume: bool = False,
-    shards=None,
-    pool=None,
-    shared_memory=None,
     observer: Optional[Observer] = None,
 ) -> Iterator[EngineSnapshot]:
     """Scan every relation to each checkpoint fraction, yielding snapshots.
@@ -74,14 +71,6 @@ def run_lockstep_scan(
     At checkpoint ``x`` every relation has had an ``x`` fraction of its
     tuples consumed (ripple-join-style lockstep).  Relations not yet
     registered with *engine* are registered with their exact cardinality.
-
-    *shards*/*pool* route every consumed slice through the sharded update
-    path of :mod:`repro.parallel` (``pool`` alone defaults the shard count
-    to the pool's worker count).  Integer counter deltas add exactly, so
-    the counters — and therefore every snapshot and checkpoint — stay
-    bit-identical to the sequential scan.  *shared_memory* forwards to
-    :func:`~repro.parallel.parallel_update`: process pools default to
-    moving keys and counters through shared-memory segments.
 
     *checkpoint_dir* enables durable snapshots (one after each yielded
     fraction).  With ``resume=True`` the scan restarts from the newest
@@ -163,13 +152,7 @@ def run_lockstep_scan(
                     with obs.span(
                         "scan.chunk", relation=name, rows=target - scanned[name]
                     ):
-                        engine.consume(
-                            name,
-                            relation.keys[scanned[name] : target],
-                            shards=shards,
-                            pool=pool,
-                            shared_memory=shared_memory,
-                        )
+                        engine.consume(name, relation.keys[scanned[name] : target])
                     scanned[name] = target
             if manager is not None:
                 started = obs.clock()

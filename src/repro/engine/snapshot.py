@@ -23,11 +23,12 @@ count at publication time.  Generations are strictly monotone per engine,
 which is what lets a concurrent reader prove it never travelled back in
 time (see ``tests/serving/test_concurrent_consistency.py``).
 
-A snapshot can answer every estimate the live engine can (point
-frequency, self-join, join, fractions), attach the paper's
-variance-derived confidence intervals via the runtime plug-in bounds of
-:mod:`repro.variance.runtime`, and reproduce the engine's durable
-checkpoint payload byte for byte (:meth:`EngineSnapshot.checkpoint_payload`).
+A snapshot is the engine's one way out: it answers every estimate of the
+scanned prefixes (point frequency, self-join, join, fractions), attaches
+the paper's variance-derived confidence intervals via the runtime plug-in
+bounds of :mod:`repro.variance.runtime`, and reproduces the engine's
+durable checkpoint payload byte for byte
+(:meth:`EngineSnapshot.checkpoint_payload`).
 
 Because a snapshot never changes, every per-relation statistic the
 query path needs is computed on first use and kept: the per-row raw and
@@ -298,7 +299,8 @@ class EngineSnapshot:
         return int(buckets)
 
     # ------------------------------------------------------------------
-    # Estimates (bit-identical to the live engine at the same prefix)
+    # Estimates (bit-identical to repro.core's estimators on plain
+    # sketches of the same prefixes)
     # ------------------------------------------------------------------
 
     def moments(self, name: str) -> RelationMoments:

@@ -21,9 +21,9 @@ Usage::
     for chunk in lineitem_scan:
         engine.consume("lineitem", chunk)
         ...
-    engine.self_join_size("lineitem")     # F2 estimate, any time
-    engine.join_size("lineitem", "orders")
-    engine.snapshot()                     # everything at once
+    snapshot = engine.snapshot()          # the one way out, any time
+    snapshot.self_join_size("lineitem")   # F2 estimate
+    snapshot.join_size("lineitem", "orders")
 """
 
 from __future__ import annotations
@@ -34,13 +34,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import CheckpointError, ConfigurationError, InsufficientDataError
+from ..errors import CheckpointError, ConfigurationError, SerializationError
 from ..observability.observer import Observer, as_observer
 from ..rng import SeedLike, as_seed_sequence
-from ..sampling.base import SampleInfo
-from ..sampling.unbiasing import join_scale, self_join_correction
 from ..sketches.fagms import FagmsSketch
-from ..sketches.serialization import build_sketch, expected_state_shape, sketch_header
+from ..sketches.serialization import build_sketch, restore_sketch, sketch_header
 from .snapshot import EngineSnapshot, RelationSnapshot, StatisticsSnapshot
 
 __all__ = ["OnlineStatisticsEngine", "ScanState", "StatisticsSnapshot"]
@@ -66,14 +64,6 @@ class ScanState:
     def fraction(self) -> float:
         """Scanned fraction of the relation."""
         return self.scanned / self.total_tuples if self.total_tuples else 0.0
-
-    def info(self) -> SampleInfo:
-        """The WOR draw metadata of the scanned prefix."""
-        return SampleInfo(
-            scheme="without_replacement",
-            population_size=self.total_tuples,
-            sample_size=self.scanned,
-        )
 
 
 class OnlineStatisticsEngine:
@@ -153,23 +143,12 @@ class OnlineStatisticsEngine:
                 f"unknown relation {name!r}; registered: {self.relations}"
             ) from None
 
-    def consume(
-        self, name: str, keys, *, shards=None, pool=None, shared_memory=None
-    ) -> None:
+    def consume(self, name: str, keys) -> None:
         """Feed the next chunk of *name*'s random-order scan.
 
         Updates run through the row-batched :mod:`repro.kernels` path,
         so chunked scanning costs one fused accumulation per chunk;
         empty chunks are accepted and skipped outright.
-
-        With *shards* and/or *pool* set, the chunk's hashing and
-        accumulation fan out over :func:`repro.parallel.parallel_update`
-        (chunked work-stealing, bit-identical to the sequential path); a
-        :class:`~repro.parallel.pool.WorkerPool` passed here is reused
-        across calls rather than respawned per chunk.  *shared_memory*
-        forwards to :func:`~repro.parallel.parallel_update` — by default
-        process pools move keys and counters through shared-memory
-        segments instead of the pickle pipe.
         """
         state = self._state(name)
         keys = np.asarray(keys)
@@ -179,18 +158,7 @@ class OnlineStatisticsEngine:
                 f"({state.total_tuples})"
             )
         if keys.size:
-            if shards is None and pool is None:
-                state.sketch.update(keys)
-            else:
-                from ..parallel import parallel_update
-
-                parallel_update(
-                    state.sketch,
-                    keys,
-                    shards=shards,
-                    pool=pool,
-                    shared_memory=shared_memory,
-                )
+            state.sketch.update(keys)
             state.scanned += int(keys.size)
             state.mutations += 1
             self._generation += 1
@@ -211,36 +179,6 @@ class OnlineStatisticsEngine:
     def generation(self) -> int:
         """Total chunks consumed across all relations (monotone)."""
         return self._generation
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-
-    def self_join_size(self, name: str) -> float:
-        """Current unbiased ``F₂`` estimate for *name*'s scanned column."""
-        state = self._state(name)
-        if state.scanned < 2:
-            raise InsufficientDataError(
-                f"need at least 2 scanned tuples of {name!r} to unbias F2"
-            )
-        correction = self_join_correction(state.info())
-        return correction.apply(state.sketch.second_moment(), state.scanned)
-
-    def join_size(self, name_a: str, name_b: str) -> float:
-        """Current unbiased ``|A ⋈ B|`` estimate between two scans."""
-        state_a = self._state(name_a)
-        state_b = self._state(name_b)
-        if name_a == name_b:
-            raise ConfigurationError(
-                "join_size needs two distinct relations; use self_join_size "
-                "for a relation with itself"
-            )
-        if state_a.scanned < 1 or state_b.scanned < 1:
-            raise InsufficientDataError(
-                "both relations need scanned tuples before a join estimate"
-            )
-        raw = state_a.sketch.inner_product(state_b.sketch)
-        return float(join_scale(state_a.info(), state_b.info())) * raw
 
     def _publish(self) -> EngineSnapshot:
         """Build an immutable snapshot of the current scan state.
@@ -317,14 +255,14 @@ class OnlineStatisticsEngine:
 
         Every relation's sketch is reconstructed from the shared template
         header (so cross-relation inner products remain meaningful) and
-        its checkpointed counters, verified against the expected shape.
-        Raises :class:`~repro.errors.CheckpointError` on any mismatch, and
-        on a malformed relation record: a missing field, a non-integer
-        count, a repeated name or a non-finite counter.
+        its checkpointed counters, checked by
+        :func:`~repro.sketches.serialization.restore_sketch`.  Raises
+        :class:`~repro.errors.CheckpointError` on a malformed template, on
+        counters of the wrong shape or dtype or with a non-finite value,
+        and on a malformed relation record: a missing field, a
+        non-integer count or a repeated name.
         """
         header = state.get("template")
-        if not isinstance(header, dict):
-            raise CheckpointError("engine checkpoint has no template header")
         relations = state.get("relations")
         if not isinstance(relations, list):
             raise CheckpointError("engine checkpoint has no relation list")
@@ -332,13 +270,17 @@ class OnlineStatisticsEngine:
         engine._observer = as_observer(None)
         engine._generation = 0
         engine._published = {}
-        engine._template = build_sketch(header)
+        try:
+            engine._template = build_sketch(header)
+        except SerializationError as error:
+            raise CheckpointError(
+                f"engine checkpoint template is malformed: {error}"
+            ) from error
         if not isinstance(engine._template, FagmsSketch):
             raise CheckpointError(
                 f"engine checkpoint template is a "
                 f"{type(engine._template).__name__}, expected an F-AGMS sketch"
             )
-        expected = expected_state_shape(header)
         engine._relations = {}
         for raw in relations:
             try:
@@ -359,17 +301,12 @@ class OnlineStatisticsEngine:
                 raise CheckpointError(
                     f"engine checkpoint is missing counters for relation {name!r}"
                 )
-            if tuple(counters.shape) != expected:
+            try:
+                sketch = restore_sketch(header, counters)
+            except SerializationError as error:
                 raise CheckpointError(
-                    f"engine checkpoint counters for {name!r} have shape "
-                    f"{counters.shape}, expected {expected}"
-                )
-            if not np.isfinite(counters).all():
-                raise CheckpointError(
-                    f"engine checkpoint counters for {name!r} are not finite"
-                )
-            sketch = build_sketch(header)
-            sketch.load_counters(counters)
+                    f"engine checkpoint counters for {name!r}: {error}"
+                ) from error
             scan = ScanState(
                 name=name,
                 total_tuples=total_tuples,
@@ -397,14 +334,6 @@ class OnlineStatisticsEngine:
         self._relations = restored._relations
         self._generation = restored._generation
         self._published = {}
-
-    # ------------------------------------------------------------------
-
-    def memory_footprint(self) -> int:
-        """Bytes of counter state across all registered relations."""
-        return sum(
-            state.sketch._state().nbytes for state in self._relations.values()
-        )
 
     def __repr__(self) -> str:
         scans = ", ".join(

@@ -33,12 +33,17 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from ..errors import CheckpointError, ConfigurationError, StreamIntegrityError
+from ..errors import (
+    CheckpointError,
+    ConfigurationError,
+    SerializationError,
+    StreamIntegrityError,
+)
 from ..observability.observer import Observer, as_observer
 from ..observability.quality import observe_shedding
 from ..rng import SeedLike
 from ..sketches.base import Sketch
-from ..sketches.serialization import build_sketch, expected_state_shape, sketch_header
+from ..sketches.serialization import restore_sketch, sketch_header
 from .adaptive import AdaptiveSheddingSketcher
 from .checkpoint import CheckpointManager
 from .clock import DEFAULT_CLOCK, Clock
@@ -354,12 +359,16 @@ class StreamRuntime:
         """Rebuild a runtime from the newest intact snapshot on disk.
 
         The sketch is reconstructed from its serialized header and the
-        checkpointed counters (verified against the expected shape), the
+        checkpointed counters (checked by
+        :func:`~repro.sketches.serialization.restore_sketch`), the
         shedder resumes with its exact RNG and skip state, and the stream
         cursor is restored — so replaying the stream from the start skips
         the applied prefix and continues bit-identically.  Raises
         :class:`~repro.errors.CheckpointError` when no usable snapshot
-        exists (or, with ``strict=True``, on the first corrupt one).
+        exists (or, with ``strict=True``, on the first corrupt one), and
+        when the newest snapshot holds a malformed sketch header, counters
+        of the wrong shape or dtype, non-finite counters or a malformed
+        shedder state.
 
         *observer* is attached to the recovered runtime and receives a
         ``runtime.checkpoint.restore`` span plus a
@@ -374,24 +383,17 @@ class StreamRuntime:
                     f"no usable checkpoint in {checkpoint_dir} "
                     f"({len(manager.corrupt_detected)} corrupt snapshot(s) detected)"
                 )
-            header = snapshot.state.get("sketch")
-            if not isinstance(header, dict):
-                raise CheckpointError(
-                    f"checkpoint {snapshot.path} has no serialized sketch header"
-                )
             counters = snapshot.arrays.get("counters")
             if counters is None:
                 raise CheckpointError(
                     f"checkpoint {snapshot.path} has no counters payload"
                 )
-            sketch = build_sketch(header)
-            expected = expected_state_shape(header)
-            if tuple(counters.shape) != expected:
+            try:
+                sketch = restore_sketch(snapshot.state.get("sketch"), counters)
+            except SerializationError as error:
                 raise CheckpointError(
-                    f"checkpoint {snapshot.path} counters shape {counters.shape} "
-                    f"does not match the sketch's expected {expected}"
-                )
-            sketch.load_counters(counters)
+                    f"checkpoint {snapshot.path} holds a malformed sketch: {error}"
+                ) from error
             runtime = object.__new__(cls)
             runtime.sketcher = AdaptiveSheddingSketcher.restore(
                 sketch, snapshot.state.get("sketcher")

@@ -9,10 +9,10 @@ meaningful.
 
 The concurrency contract:
 
-* **Ingest** (:meth:`SketchRegistry.ingest`, or the background threads
-  started by :meth:`start_ingest`) takes the stream's lock, consumes the
-  chunk, and — when the rotation policy says so — publishes a fresh
-  :class:`~repro.engine.snapshot.EngineSnapshot`.
+* **Ingest** (:meth:`SketchRegistry.ingest`, or a
+  :class:`~repro.dataplane.RegistrySink` on a caller-owned thread) takes
+  the stream's lock, consumes the chunk, and — when the rotation policy
+  says so — publishes a fresh :class:`~repro.engine.snapshot.EngineSnapshot`.
 * **Queries** never take the ingest lock: they read the stream's
   ``latest`` snapshot reference (a single attribute read — atomic under
   the GIL) and evaluate entirely against its frozen counters.  A query
@@ -109,7 +109,6 @@ class _Stream:
     latest: Optional[EngineSnapshot] = None
     chunks_since_rotation: int = 0
     rotated_at: float = 0.0
-    ingest_thread: Optional[threading.Thread] = None
 
 
 class SketchRegistry:
@@ -253,40 +252,6 @@ class SketchRegistry:
         with stream.lock:
             self._rotate(stream)
             return stream.latest
-
-    def start_ingest(
-        self, name: str, chunks: Iterable, *, final_rotate: bool = True
-    ) -> threading.Thread:
-        """Drain *chunks* into the stream on a daemon thread.
-
-        Returns the started thread (join it to wait for completion).
-        With ``final_rotate`` a rotation is forced after the last chunk,
-        so the published snapshot catches up with everything ingested.
-        """
-        stream = self._stream(name)
-        if stream.ingest_thread is not None and stream.ingest_thread.is_alive():
-            raise ConfigurationError(f"stream {name!r} is already ingesting")
-
-        def _drain() -> None:
-            for chunk in chunks:
-                self.ingest(name, chunk)
-            if final_rotate:
-                self.rotate(name)
-
-        thread = threading.Thread(
-            target=_drain, name=f"serving-ingest-{name}", daemon=True
-        )
-        stream.ingest_thread = thread
-        thread.start()
-        return thread
-
-    def wait_ingest(self, name: Optional[str] = None, timeout: Optional[float] = None) -> None:
-        """Join one stream's (or every stream's) background ingest thread."""
-        names = [name] if name is not None else list(self._streams)
-        for each in names:
-            thread = self._stream(each).ingest_thread
-            if thread is not None:
-                thread.join(timeout)
 
     # ------------------------------------------------------------------
     # Queries (lock-free: evaluate against the published snapshot)

@@ -12,14 +12,13 @@ Format: a single ``.npz`` with a JSON-encoded header plus the counters.
 
 Loading validates everything before any state is constructed: the archive
 must open, the header must decode as JSON with the required fields of the
-right types, and the counter payload must match the shape/dtype the header
-implies.  Every violation raises :class:`~repro.errors.SerializationError`
+right types, and the counters must be finite and match the shape/dtype the
+header implies.  Every violation raises :class:`~repro.errors.SerializationError`
 (a :class:`~repro.errors.ConfigurationError` subclass) instead of an opaque
 ``KeyError``/``BadZipFile``/numpy broadcast error — truncated or tampered
-files fail loudly and typed.  The header-building and reconstruction
-halves are exposed as :func:`sketch_header` / :func:`build_sketch` so the
-checkpoint layer (:mod:`repro.resilience.checkpoint`) can embed sketches
-in its own durable manifests using the same format.
+files fail loudly and typed.  The steps are exposed as :func:`sketch_header`
+/ :func:`build_sketch` / :func:`restore_sketch`, so the engine's and stream
+runtime's checkpoints embed sketches in the same format and counter check.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ __all__ = [
     "load_sketch",
     "sketch_header",
     "build_sketch",
-    "expected_state_shape",
+    "restore_sketch",
 ]
 
 _FORMAT_VERSION = 1
@@ -107,6 +106,10 @@ def _require(header: dict, field: str, kind: type):
 
 
 def _validate_header(header: dict) -> None:
+    if not isinstance(header, dict):
+        raise SerializationError(
+            f"sketch header must be an object, got {type(header).__name__}"
+        )
     for field, kind in _REQUIRED_FIELDS.items():
         _require(header, field, kind)
     if header["version"] != _FORMAT_VERSION:
@@ -122,24 +125,12 @@ def _validate_header(header: dict) -> None:
         raise SerializationError(f"sketch header rows must be >= 1, got {header['rows']}")
 
 
-def expected_state_shape(header: dict) -> tuple:
-    """The counter-array shape implied by a (validated) sketch header."""
-    sketch_type = _require(header, "type", str)
-    rows = _require(header, "rows", int)
-    if sketch_type == "AgmsSketch":
-        return (rows,)
-    if sketch_type in ("FagmsSketch", "CountMinSketch"):
-        return (rows, _require(header, "buckets", int))
-    raise SerializationError(f"unknown sketch type {sketch_type!r}")
-
-
 def build_sketch(header: dict) -> Sketch:
     """Reconstruct a zeroed sketch (families only) from a header dict.
 
     The header is fully validated; any structural problem raises
-    :class:`~repro.errors.SerializationError`.  Counters are left at zero —
-    the caller fills them after validating the payload against
-    :func:`expected_state_shape`.
+    :class:`~repro.errors.SerializationError`.  Counters are left at zero;
+    :func:`restore_sketch` fills them from a checked payload.
     """
     _validate_header(header)
     seed = np.random.SeedSequence(
@@ -167,6 +158,30 @@ def build_sketch(header: dict) -> Sketch:
     if sketch_type == "CountMinSketch":
         return CountMinSketch(_require(header, "buckets", int), header["rows"], seed)
     raise SerializationError(f"unknown sketch type {sketch_type!r}")
+
+
+def restore_sketch(header: dict, counters) -> Sketch:
+    """Rebuild a sketch from its header and counters: every restore's check.
+
+    :func:`load_sketch` and the engine's and stream runtime's checkpoint
+    restores all call it.  *counters* must be finite real numbers of the
+    shape the header implies; any violation, like any header problem,
+    raises :class:`~repro.errors.SerializationError`.
+    """
+    sketch = build_sketch(header)
+    counters = np.asarray(counters)
+    expected = sketch._state().shape
+    if counters.shape != expected:
+        raise SerializationError(
+            f"counter shape {counters.shape} does not match the header's {expected}"
+        )
+    dtype = counters.dtype
+    if not np.issubdtype(dtype, np.number) or np.issubdtype(dtype, np.complexfloating):
+        raise SerializationError(f"counters have non-numeric dtype {dtype}")
+    if not np.isfinite(counters).all():
+        raise SerializationError("counters are not finite")
+    sketch.load_counters(counters)
+    return sketch
 
 
 def save_sketch(sketch: Sketch, path) -> None:
@@ -216,20 +231,4 @@ def load_sketch(path) -> Sketch:
         raise SerializationError(
             f"sketch file {path} has an undecodable header: {exc}"
         ) from exc
-    if not isinstance(header, dict):
-        raise SerializationError(f"sketch file {path} header is not a JSON object")
-    sketch = build_sketch(header)
-    state = sketch._state()
-    if tuple(counters.shape) != tuple(state.shape):
-        raise SerializationError(
-            f"sketch file {path} counter shape {tuple(counters.shape)} does not "
-            f"match the header's {tuple(state.shape)}"
-        )
-    if not np.issubdtype(counters.dtype, np.number) or np.issubdtype(
-        counters.dtype, np.complexfloating
-    ):
-        raise SerializationError(
-            f"sketch file {path} counters have non-numeric dtype {counters.dtype}"
-        )
-    state[...] = counters
-    return sketch
+    return restore_sketch(header, counters)

@@ -14,6 +14,7 @@ from repro.dataplane import (
     UnionSource,
     send_frames,
 )
+from repro.dataplane.sources import MAX_FRAME_KEYS
 from repro.errors import ConfigurationError, StreamIntegrityError
 from repro.resilience import make_envelope, verify_payload
 from repro.streams.io import write_stream
@@ -156,6 +157,19 @@ class TestSocketSource:
         with right:
             with pytest.raises(StreamIntegrityError):
                 list(SocketSource(right).envelopes())
+
+    @pytest.mark.parametrize("count", [1 << 61, MAX_FRAME_KEYS + 1])
+    def test_oversized_frame_count_raises_before_reading_payload(self, count):
+        left, right = socket.socketpair()
+        key = (7).to_bytes(8, "little")
+        with left:
+            # Only the header and one key are sent: the reader must reject
+            # the declared count without asking for its payload.
+            left.sendall(count.to_bytes(8, "little") + key)
+        with right:
+            with pytest.raises(StreamIntegrityError, match="frame limit"):
+                list(SocketSource(right).envelopes())
+            assert right.recv(16) == key  # the payload was never read
 
 
 class TestUnionSource:

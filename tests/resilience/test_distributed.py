@@ -519,6 +519,29 @@ class TestHedging:
         assert outcome.retries == 0
         assert outcome.winners[0].future.result() == "rescued"
 
+    def test_primary_and_hedge_done_in_one_pass(self):
+        # Both dispatches of the shard finish before the supervisor reaps
+        # again: the primary wins, and its finished hedge is dropped once.
+        clock = FakeClock()
+        hedged = []
+        primary = FakeFuture(clock, never=True)
+        waiting = primary.result
+        primary.done = lambda: bool(hedged)
+        primary.result = lambda timeout=None: "primary" if hedged else waiting(timeout)
+
+        def hedge():
+            hedged.append(True)
+            return Handle(FakeFuture(clock, result="hedge"))
+
+        dispatch = ScriptedDispatch(
+            clock, {(0, 0): lambda: Handle(primary), (0, 1): hedge}
+        )
+        outcome = make_supervisor(
+            clock, shards=1, hedge_after=0.05, poll_interval=0.01
+        ).run(dispatch)
+        assert outcome.hedges == 1
+        assert outcome.winners[0].future.result() == "primary"
+
     def test_hedge_metric_counted(self):
         clock = FakeClock()
         obs = Observer(clock)

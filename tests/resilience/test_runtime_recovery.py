@@ -163,10 +163,21 @@ MALFORMED_SHEDDER_STATE = {
 }
 
 
-@pytest.mark.parametrize("fault", sorted(MALFORMED_SHEDDER_STATE))
-def test_malformed_shedder_state_is_a_checkpoint_error(
-    tmp_path, fault, stream_chunks
-):
+#: Ways a checkpoint's sketch can be malformed: each edits the state and
+#: the counter arrays of a valid checkpoint in place.
+MALFORMED_SKETCH = {
+    "counters NaN": lambda s, a: a["counters"].__setitem__((0, 0), np.nan),
+    "counters complex": lambda s, a: a.update(
+        counters=a["counters"].astype(np.complex128)
+    ),
+    "header rows a string": lambda s, a: s["sketch"].update(rows="3"),
+    "header type unknown": lambda s, a: s["sketch"].update(type="MysterySketch"),
+}
+
+
+@pytest.fixture
+def shed_checkpoint(tmp_path, stream_chunks):
+    """A valid two-segment shed checkpoint in *tmp_path*: its manager."""
     runtime = StreamRuntime(
         FagmsSketch(buckets=64, rows=3, seed=17),
         p=0.5,
@@ -177,10 +188,34 @@ def test_malformed_shedder_state_is_a_checkpoint_error(
     runtime.sketcher.set_rate(0.25)
     runtime.run(list(stream_chunks[:10]))
     runtime.checkpoint()
-    manager = CheckpointManager(tmp_path)
+    return CheckpointManager(tmp_path)
+
+
+def _rewrite_latest(manager, edit):
+    """Overwrite the newest checkpoint with a copy that *edit* changed."""
     snapshot = manager.latest()
     state = copy.deepcopy(snapshot.state)
-    MALFORMED_SHEDDER_STATE[fault](state["sketcher"])
-    manager.save(position=snapshot.position, state=state, arrays=snapshot.arrays)
+    arrays = {name: np.array(array) for name, array in snapshot.arrays.items()}
+    edit(state, arrays)
+    manager.save(position=snapshot.position, state=state, arrays=arrays)
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_SHEDDER_STATE))
+def test_malformed_shedder_state_is_a_checkpoint_error(
+    tmp_path, fault, shed_checkpoint
+):
+    _rewrite_latest(
+        shed_checkpoint,
+        lambda state, arrays: MALFORMED_SHEDDER_STATE[fault](state["sketcher"]),
+    )
+    with pytest.raises(CheckpointError):
+        StreamRuntime.recover(tmp_path)
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_SKETCH))
+def test_malformed_sketch_is_a_checkpoint_error(tmp_path, fault, shed_checkpoint):
+    # The untouched checkpoint recovers; only the corruption makes it fail.
+    assert np.isfinite(StreamRuntime.recover(tmp_path).self_join_size())
+    _rewrite_latest(shed_checkpoint, MALFORMED_SKETCH[fault])
     with pytest.raises(CheckpointError):
         StreamRuntime.recover(tmp_path)

@@ -12,15 +12,23 @@ The serving contract under concurrency, asserted end to end:
 * **Set-expression consistency** — expressions served from concurrently
   rotating snapshots match an offline evaluation over the same two
   prefixes, bit for bit.
+
+Ingest runs the way a caller runs it in production: a
+:class:`~repro.dataplane.Pipeline` ending in a
+:class:`~repro.dataplane.RegistrySink`.  Reader threads are stopped in a
+``finally``, so a failing ingest fails the test instead of leaving them
+polling for the rest of the session.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.dataplane import IterableSource, Pipeline, RegistrySink
 from repro.errors import ConfigurationError, EstimationError
 from repro.serving import RotationPolicy, SketchRegistry
 
@@ -32,6 +40,15 @@ def paced(chunks, delay=0.002):
     for chunk in chunks:
         time.sleep(delay)
         yield chunk
+
+
+def ingest(registry, name, chunks):
+    """Drain *chunks* into one stream through a pipeline, then rotate."""
+    Pipeline(
+        IterableSource(chunks),
+        sinks=[RegistrySink(registry, name)],
+        queue_depth=0,
+    ).run()
 
 
 def offline_snapshot(name, keys, total, scanned):
@@ -79,11 +96,14 @@ def test_concurrent_readers_see_monotone_bitexact_prefixes():
     readers = [Reader(registry, "s", key=42) for _ in range(3)]
     for reader in readers:
         reader.start()
-    registry.start_ingest("s", paced(np.array_split(keys, 160)))
-    registry.wait_ingest("s")
-    for reader in readers:
-        reader.stop.set()
-        reader.join(10.0)
+    try:
+        ingest(registry, "s", paced(np.array_split(keys, 160)))
+    finally:
+        for reader in readers:
+            reader.stop.set()
+        for reader in readers:
+            reader.join(10.0)
+    assert not any(reader.is_alive() for reader in readers)
 
     # Monotone generations per reader, and real concurrency happened:
     # at least one reader saw several distinct mid-scan snapshots.
@@ -140,12 +160,19 @@ def test_expressions_match_merged_offline_evaluation():
     threads = [threading.Thread(target=query_loop, daemon=True) for _ in range(2)]
     for thread in threads:
         thread.start()
-    registry.start_ingest("a", paced(np.array_split(keys_a, 120)))
-    registry.start_ingest("b", paced(np.array_split(keys_b, 100)))
-    registry.wait_ingest()
-    stop.set()
-    for thread in threads:
-        thread.join(10.0)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            scans = [
+                pool.submit(ingest, registry, "a", paced(np.array_split(keys_a, 120))),
+                pool.submit(ingest, registry, "b", paced(np.array_split(keys_b, 100))),
+            ]
+            for scan in scans:
+                scan.result()  # re-raises an ingest failure here
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(10.0)
+    assert not any(thread.is_alive() for thread in threads)
 
     unique = sorted(set(observed))
     assert unique, "readers never caught a queryable snapshot pair"

@@ -5,12 +5,15 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.dataplane import IterableSource, Pipeline, RegistrySink
 from repro.serving import (
     AdmissionController,
     SketchRegistry,
@@ -302,10 +305,20 @@ class TestLifecycle:
         chunks = np.array_split(
             np.random.default_rng(8).integers(0, 500, size=20_000), 100
         )
-        with serve_in_thread(registry) as handle:
-            registry.start_ingest("live", chunks)
-            seen = []
-            while True:
+        pipeline = Pipeline(
+            IterableSource(chunks),
+            sinks=[RegistrySink(registry, "live")],
+            queue_depth=0,
+        )
+        seen = []
+        with serve_in_thread(registry) as handle, ThreadPoolExecutor(1) as pool:
+            ingest = pool.submit(pipeline.run)
+            # Poll until the last generation is served, the ingest ends or
+            # the deadline passes; after the ingest ends, one more query
+            # reads its final snapshot.
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                finished = ingest.done()
                 try:
                     _, payload = get(
                         f"{handle.url}/v1/query/self_join?stream=live"
@@ -313,7 +326,8 @@ class TestLifecycle:
                     seen.append(payload["streams"]["live"]["generation"])
                 except urllib.error.HTTPError:
                     pass  # early snapshots may be too short to estimate
-                if seen and seen[-1] >= 100:
+                if finished or (seen and seen[-1] >= 100):
                     break
-            registry.wait_ingest("live")
-            assert seen == sorted(seen)  # served generations are monotone
+            ingest.result()  # re-raises an ingest failure here
+        assert seen and seen[-1] == 100
+        assert seen == sorted(seen)  # served generations are monotone

@@ -110,34 +110,6 @@ class TestRotation:
         assert registry.snapshot("lazy").scanned_tuples("lazy") == 0
 
 
-class TestBackgroundIngest:
-    def test_start_ingest_drains_and_catches_up(self):
-        registry = make_registry(policy=RotationPolicy(every_chunks=3))
-        chunks = np.array_split(
-            np.random.default_rng(2).integers(0, 50, size=700), 7
-        )
-        thread = registry.start_ingest("f", chunks)
-        registry.wait_ingest("f")
-        assert not thread.is_alive()
-        # final_rotate publishes the tail even though 7 % 3 != 0.
-        assert registry.snapshot("f").scanned_tuples("f") == 700
-
-    def test_double_start_raises(self):
-        registry = make_registry()
-
-        def slow_chunks():
-            import time
-
-            for _ in range(3):
-                time.sleep(0.05)
-                yield np.arange(5)
-
-        registry.start_ingest("f", slow_chunks())
-        with pytest.raises(ConfigurationError):
-            registry.start_ingest("f", [np.arange(5)])
-        registry.wait_ingest("f")
-
-
 class TestQueries:
     def test_query_results_match_snapshot_estimates(self):
         registry = fill(make_registry())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import estimate_join_size, estimate_self_join_size
 from repro.engine import (
     EngineSnapshot,
     OnlineStatisticsEngine,
@@ -17,6 +18,8 @@ from repro.errors import (
     IncompatibleSketchError,
     InsufficientDataError,
 )
+from repro.sampling import SampleInfo
+from repro.sketches import FagmsSketch
 
 
 def make_engine(*, buckets=256, rows=3, seed=42):
@@ -53,7 +56,7 @@ class TestImmutability:
         engine.consume("f", np.full(200, 7))
         assert snap.self_join_size("f") == before
         assert snap.point_frequency("f", 7) == point_before
-        # The live engine, by contrast, moved on.
+        # A fresh snapshot, by contrast, moved on.
         assert engine.snapshot().self_join_size("f") != before
 
 
@@ -94,13 +97,45 @@ class TestGenerations:
         assert len(set(generations)) == len(generations)
 
 
+def _plain_prefix(keys, total):
+    """A plain sketch of a scanned prefix and the prefix's WOR draw."""
+    sketch = FagmsSketch(256, rows=3, seed=42)
+    sketch.update(keys)
+    info = SampleInfo(
+        scheme="without_replacement", population_size=total, sample_size=keys.size
+    )
+    return sketch, info
+
+
 class TestEstimates:
-    def test_estimates_match_live_engine_bit_for_bit(self):
-        engine = fill(make_engine())
-        snap = engine.snapshot()
-        assert snap.self_join_size("f") == engine.self_join_size("f")
-        assert snap.self_join_size("g") == engine.self_join_size("g")
-        assert snap.join_size("f", "g") == engine.join_size("f", "g")
+    def test_estimates_match_core_estimators_bit_for_bit(self):
+        """The reference check of the engine's one answer path.
+
+        Snapshot estimates equal :mod:`repro.core`'s estimators on plain
+        sketches of the same prefixes, exactly, at short and long prefixes.
+        """
+        rng = np.random.default_rng(5)
+        keys_f = rng.integers(0, 100, size=1000)
+        keys_g = rng.integers(0, 100, size=800)
+        engine = make_engine()
+        done_f = done_g = 0
+        for cut_f, cut_g in ((2, 1), (150, 320), (600, 400), (1000, 800)):
+            engine.consume("f", keys_f[done_f:cut_f])
+            engine.consume("g", keys_g[done_g:cut_g])
+            done_f, done_g = cut_f, cut_g
+            snap = engine.snapshot()
+            sketch_f, info_f = _plain_prefix(keys_f[:cut_f], 1000)
+            sketch_g, info_g = _plain_prefix(keys_g[:cut_g], 800)
+            assert snap.self_join_size("f") == (
+                estimate_self_join_size(sketch_f, info_f).value
+            )
+            assert snap.join_size("f", "g") == (
+                estimate_join_size(sketch_f, info_f, sketch_g, info_g).value
+            )
+            if cut_g >= 2:
+                assert snap.self_join_size("g") == (
+                    estimate_self_join_size(sketch_g, info_g).value
+                )
 
     def test_point_frequency_scales_to_full_relation(self):
         engine = make_engine()
@@ -222,12 +257,10 @@ class TestCheckpointPayload:
         engine = fill(make_engine())
         state, arrays = engine.snapshot().checkpoint_payload()
         restored = OnlineStatisticsEngine.from_checkpoint_state(state, arrays)
-        assert restored.snapshot().self_join_size("f") == (
-            engine.self_join_size("f")
-        )
-        assert restored.snapshot().join_size("f", "g") == (
-            engine.join_size("f", "g")
-        )
+        before = engine.snapshot()
+        after = restored.snapshot()
+        assert after.self_join_size("f") == before.self_join_size("f")
+        assert after.join_size("f", "g") == before.join_size("f", "g")
 
 
 def test_repr_mentions_generation_and_progress():

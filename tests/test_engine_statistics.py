@@ -39,7 +39,7 @@ class TestRegistration:
         with pytest.raises(ConfigurationError):
             engine.consume("ghost", np.array([1]))
         with pytest.raises(ConfigurationError):
-            engine.self_join_size("ghost")
+            engine.snapshot().self_join_size("ghost")
 
 
 class TestScanProgress:
@@ -56,16 +56,17 @@ class TestScanProgress:
     def test_insufficient_data_errors(self, engine):
         engine.register("a", 100)
         engine.register("b", 100)
+        snapshot = engine.snapshot()
         with pytest.raises(InsufficientDataError):
-            engine.self_join_size("a")
+            snapshot.self_join_size("a")
         with pytest.raises(InsufficientDataError):
-            engine.join_size("a", "b")
+            snapshot.join_size("a", "b")
 
     def test_self_join_of_same_name_rejected(self, engine):
         engine.register("a", 100)
         engine.consume("a", np.arange(10))
         with pytest.raises(ConfigurationError):
-            engine.join_size("a", "a")
+            engine.snapshot().join_size("a", "a")
 
 
 class TestEstimates:
@@ -77,7 +78,7 @@ class TestEstimates:
         errors = []
         for chunk in lineitem.chunks(len(lineitem) // 5 + 1):
             engine.consume("lineitem", chunk)
-            estimate = engine.self_join_size("lineitem")
+            estimate = engine.snapshot().self_join_size("lineitem")
             errors.append(abs(estimate - truth) / truth)
         assert errors[-1] < 0.1
         assert errors[-1] <= errors[0] + 0.05
@@ -91,7 +92,7 @@ class TestEstimates:
         engine.consume("lineitem", tpch.lineitem.keys[:cut])
         engine.consume("orders", tpch.orders.keys)
         truth = tpch.exact_join_size()
-        estimate = engine.join_size("lineitem", "orders")
+        estimate = engine.snapshot().join_size("lineitem", "orders")
         assert estimate == pytest.approx(truth, rel=0.3)
 
     def test_full_scan_matches_plain_sketches(self):
@@ -105,7 +106,9 @@ class TestEstimates:
         # a plain sketch, so a full scan reproduces the plain estimate.
         plain = FagmsSketch(1024, seed=55)
         plain.update(relation.keys)
-        assert engine.self_join_size("r") == pytest.approx(plain.second_moment())
+        assert engine.snapshot().self_join_size("r") == pytest.approx(
+            plain.second_moment()
+        )
 
 
 class TestSnapshot:
@@ -121,11 +124,6 @@ class TestSnapshot:
         engine.consume("orders", tpch.orders.keys[:1000])
         snapshot = engine.snapshot()
         assert ("lineitem", "orders") in snapshot.join_sizes
-
-    def test_memory_footprint(self, engine):
-        engine.register("a", 100)
-        engine.register("b", 100)
-        assert engine.memory_footprint() == 2 * 2048 * 8
 
     def test_repr(self, engine):
         assert "no relations" in repr(engine)
@@ -158,6 +156,18 @@ def _nan_counter(state, arrays):
     arrays["counters.r"][0, 0] = np.nan
 
 
+def _complex_counters(state, arrays):
+    arrays["counters.r"] = arrays["counters.r"].astype(np.complex128)
+
+
+def _text_template_rows(state, arrays):
+    state["template"] = dict(state["template"], rows="1")
+
+
+def _unknown_template_type(state, arrays):
+    state["template"] = dict(state["template"], type="MysterySketch")
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -167,6 +177,9 @@ def _nan_counter(state, arrays):
         _fractional_scanned,
         _repeated_record,
         _nan_counter,
+        _complex_counters,
+        _text_template_rows,
+        _unknown_template_type,
     ],
 )
 def test_malformed_checkpoint_state_raises_checkpoint_error(corrupt):

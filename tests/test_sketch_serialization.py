@@ -189,6 +189,22 @@ def test_load_rejects_complex_counters(tmp_path):
         load_sketch(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_rejects_non_finite_counters(tmp_path, bad):
+    from repro.errors import SerializationError
+
+    sketch = FagmsSketch(buckets=16, seed=3)
+    path = tmp_path / "s.npz"
+    save_sketch(sketch, path)
+    with np.load(path) as data:
+        header = bytes(data["header"])
+        counters = data["counters"].copy()
+    counters[0, 5] = bad
+    np.savez(path, header=np.frombuffer(header, dtype=np.uint8), counters=counters)
+    with pytest.raises(SerializationError, match="finite"):
+        load_sketch(path)
+
+
 def test_serialization_error_is_a_configuration_error():
     from repro.errors import SerializationError
 

@@ -119,7 +119,7 @@ def _wor_prefix_estimates(keys, total, scanned, trials, *, buckets, rows):
         engine = OnlineStatisticsEngine(buckets=buckets, rows=rows, seed=trial)
         engine.register("r", total)
         engine.consume("r", rng.permutation(keys)[:scanned])
-        estimates[trial] = engine.self_join_size("r")
+        estimates[trial] = engine.snapshot().self_join_size("r")
     return estimates
 
 
