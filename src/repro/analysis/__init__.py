@@ -1,10 +1,8 @@
 """Repo-specific static analysis: the invariants the runtime never checks.
 
 This package is a self-contained checker for the reproduction's
-correctness invariants (see ``docs/STATIC_ANALYSIS.md``).  It runs in
-two passes: per-file AST rules, then whole-program rules over a
-project-wide symbol table and call graph
-(:mod:`repro.analysis.graph` / :mod:`repro.analysis.resolve`):
+correctness invariants (see ``docs/STATIC_ANALYSIS.md``).  It runs one
+pass of AST rules over each file:
 
 ========  ====================  ================================================
 Code      Name                  Invariant
@@ -17,9 +15,7 @@ REP005    estimator-contract    sketches implement the full interface and call
                                 ``check_compatible`` before cross-sketch
                                 estimates
 REP006    metric-names          metric/span names are static dotted literals
-REP007    pickle-safety         only picklable plain data crosses process seams
 REP008    kernel-seam           sketch updates route through the kernels backend
-REP009    observer-propagation  ``observer=`` forwards through every call chain
 REP010    checkpoint-schema     checkpoint save/restore key sets stay symmetric
 REP011    backoff-discipline    retry delays come from a ``BackoffPolicy``;
                                 every retry loop can give up
@@ -46,19 +42,14 @@ from .engine import (
     effective_suppressions,
     parse_suppressions,
 )
-from .graph import ModuleInfo, module_name_for, summarize_module
 from .registry import (
     RULE_REGISTRY,
     FileContext,
     Finding,
-    ProjectContext,
-    ProjectRule,
     Rule,
     Severity,
     all_rules,
-    file_rules,
     get_rule,
-    project_rules,
 )
 from .reporters import (
     REPORT_SCHEMA_VERSION,
@@ -67,7 +58,6 @@ from .reporters import (
     render_sarif,
     render_text,
 )
-from .resolve import ProjectGraph
 from . import rules as _rules  # noqa: F401  — registers the REP rules
 
 __all__ = [
@@ -75,10 +65,6 @@ __all__ = [
     "AnalysisResult",
     "FileContext",
     "Finding",
-    "ModuleInfo",
-    "ProjectContext",
-    "ProjectGraph",
-    "ProjectRule",
     "REPORT_SCHEMA_VERSION",
     "RULE_REGISTRY",
     "Rule",
@@ -91,15 +77,11 @@ __all__ = [
     "analyze_sources",
     "discover_files",
     "effective_suppressions",
-    "file_rules",
     "get_rule",
     "load_config",
-    "module_name_for",
     "parse_suppressions",
     "path_matches",
-    "project_rules",
     "render_json",
     "render_sarif",
     "render_text",
-    "summarize_module",
 ]

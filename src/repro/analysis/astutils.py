@@ -1,9 +1,10 @@
-"""Import-resolution AST primitives shared by rules and the graph pass.
+"""Import-resolution AST primitives shared by the registry and the rules.
 
-Lives outside :mod:`repro.analysis.rules` so the graph builder can use
-it without importing the rule package (which would be circular: rule
-modules import the graph).  :mod:`repro.analysis.rules.common` re-exports
-everything here for the per-file rules.
+Lives outside :mod:`repro.analysis.rules` so :class:`FileContext` can
+build a file's import table without importing the rule package (which
+would be circular: rule modules import the registry).
+:mod:`repro.analysis.rules.common` re-exports everything here for the
+rules.
 """
 
 from __future__ import annotations

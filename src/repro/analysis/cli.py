@@ -23,12 +23,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analysis",
         description=(
-            "Repo-specific invariant checker: per-file AST rules "
-            "(REP001–REP006, REP011–REP013) plus whole-program rules over "
-            "the project call graph — pickle-safety across process seams "
-            "(REP007), kernel-seam bypass (REP008), observer propagation "
-            "(REP009), checkpoint schema symmetry (REP010).  See "
-            "--list-rules."
+            "Repo-specific invariant checker: one pass of AST rules over "
+            "each file (REP001–REP006, REP008, REP010–REP013), from "
+            "seeded randomness to kernel-seam bypass and checkpoint "
+            "schema symmetry.  See --list-rules."
         ),
     )
     parser.add_argument(

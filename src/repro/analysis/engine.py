@@ -1,16 +1,8 @@
-"""Analysis driver: discovery, suppressions, two-pass rule dispatch.
+"""Analysis engine: discovery, suppressions, one pass of rule dispatch.
 
-The engine runs in two passes over one set of parsed files:
-
-1. **Per-file** — every file is parsed once into a :class:`FileContext`
-   (source, tree and import table) and the per-file :class:`Rule`
-   objects run on it in isolation.
-2. **Whole-program** — the parsed modules are summarized
-   (:func:`repro.analysis.graph.summarize_module`) and stitched into a
-   :class:`repro.analysis.resolve.ProjectGraph`; the
-   :class:`ProjectRule` objects then run once over the whole tree.
-
-:func:`analyze_sources` runs both passes for every entry point:
+Every file is parsed once into a :class:`FileContext` (source, tree and
+import table) and every selected :class:`Rule` runs on it in isolation.
+:func:`analyze_sources` is that pass for every entry point:
 :func:`analyze_paths` reads a tree from disk and hands it over, and
 :func:`analyze_source` hands over one in-memory file.
 
@@ -45,17 +37,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .config import AnalysisConfig, load_config
-from .graph import summarize_module
-from .registry import (
-    FileContext,
-    Finding,
-    ProjectContext,
-    Severity,
-    all_rules,
-    file_rules,
-    project_rules,
-)
-from .resolve import ProjectGraph
+from .registry import FileContext, Finding, Severity, all_rules
 
 __all__ = [
     "AnalysisResult",
@@ -190,30 +172,42 @@ def _selected_codes(
     return codes
 
 
-def _effective_rule_config(rule, config: AnalysisConfig):
-    """Rule config with include/exclude falling back to rule defaults."""
-    rule_config = config.rule_config(rule.code)
-    include = rule_config.include or rule.default_include
-    exclude = rule_config.exclude or rule.default_exclude
-    return rule_config, dataclasses.replace(
-        rule_config, include=include, exclude=exclude
-    )
-
-
-def _run_file_rules(
-    base_ctx: FileContext,
-    suppressions: dict,
+def _check_file(
+    source: str,
+    rel_path: str,
     config: AnalysisConfig,
     selected: Optional[set],
 ):
-    """Pass 1 over one parsed file: per-file rules only."""
+    """Parse one file and run every selected rule on it.
+
+    Returns ``(findings, suppressed)``; a file that does not parse yields
+    one ``REP000`` finding instead.
+    """
+    try:
+        base_ctx = FileContext.from_source(source, rel_path)
+    except SyntaxError as exc:
+        finding = Finding(
+            path=rel_path,
+            line=exc.lineno or 1,
+            column=(exc.offset or 1) - 1,
+            code="REP000",
+            message=f"file does not parse: {exc.msg}",
+            severity=Severity.ERROR,
+        )
+        return [finding], 0
+    suppressions = effective_suppressions(source, base_ctx.tree)
     findings: list[Finding] = []
     suppressed = 0
-    for rule in file_rules():
+    for rule in all_rules():
         if selected is not None and rule.code not in selected:
             continue
-        rule_config, effective = _effective_rule_config(rule, config)
-        if not effective.applies_to(base_ctx.rel_path):
+        rule_config = config.rule_config(rule.code)
+        include = rule_config.include or rule.default_include
+        exclude = rule_config.exclude or rule.default_exclude
+        effective = dataclasses.replace(
+            rule_config, include=include, exclude=exclude
+        )
+        if not effective.applies_to(rel_path):
             continue
         ctx = dataclasses.replace(base_ctx, options=rule_config.options)
         severity = config.severity_for(rule.code)
@@ -226,76 +220,6 @@ def _run_file_rules(
     return findings, suppressed
 
 
-def _run_project_rules(
-    contexts: dict,
-    suppressions_by_file: dict,
-    config: AnalysisConfig,
-    selected: Optional[set],
-):
-    """Pass 2 over the whole tree: build the graph, run project rules."""
-    active = []
-    for rule in project_rules():
-        if selected is not None and rule.code not in selected:
-            continue
-        rule_config, effective = _effective_rule_config(rule, config)
-        targets = tuple(
-            sorted(rel for rel in contexts if effective.applies_to(rel))
-        )
-        if targets:
-            active.append((rule, rule_config, targets))
-    if not active:
-        return [], 0
-    infos = [summarize_module(contexts[rel]) for rel in sorted(contexts)]
-    graph = ProjectGraph.build(infos)
-    findings: list[Finding] = []
-    suppressed = 0
-    for rule, rule_config, targets in active:
-        project = ProjectContext(
-            files=contexts,
-            graph=graph,
-            target_files=targets,
-            options=rule_config.options,
-        )
-        severity = config.severity_for(rule.code)
-        for finding in rule.check_project(project):
-            finding = dataclasses.replace(finding, severity=severity)
-            file_suppressions = suppressions_by_file.get(finding.path, {})
-            if _is_suppressed(finding, file_suppressions):
-                suppressed += 1
-            else:
-                findings.append(finding)
-    return findings, suppressed
-
-
-def _per_file(
-    source: str,
-    rel_path: str,
-    config: AnalysisConfig,
-    selected: Optional[set],
-):
-    """Parse one file and run pass 1 on it.
-
-    Returns ``(findings, suppressed, ctx, suppressions)`` where ``ctx``
-    is ``None`` when the file does not parse (the findings then carry the
-    ``REP000`` syntax-error marker).
-    """
-    try:
-        ctx = FileContext.from_source(source, rel_path)
-    except SyntaxError as exc:
-        finding = Finding(
-            path=rel_path,
-            line=exc.lineno or 1,
-            column=(exc.offset or 1) - 1,
-            code="REP000",
-            message=f"file does not parse: {exc.msg}",
-            severity=Severity.ERROR,
-        )
-        return [finding], 0, None, {}
-    suppressions = effective_suppressions(source, ctx.tree)
-    findings, suppressed = _run_file_rules(ctx, suppressions, config, selected)
-    return findings, suppressed, ctx, suppressions
-
-
 def analyze_source(
     source: str,
     rel_path: str,
@@ -303,11 +227,7 @@ def analyze_source(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
 ) -> AnalysisResult:
-    """Analyze one in-memory source file (the unit tests' entry point).
-
-    Project rules run too, over a single-file project — so cross-module
-    rules can be exercised on self-contained snippets.
-    """
+    """Analyze one in-memory source file (the unit tests' entry point)."""
     return analyze_sources(
         {rel_path: source}, config=config, select=select, ignore=ignore
     )
@@ -319,31 +239,17 @@ def analyze_sources(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
 ) -> AnalysisResult:
-    """Analyze a dict of ``rel_path -> source`` as one project.
-
-    Both passes run, with the project graph spanning every parseable
-    file in *sources*.
-    """
+    """Analyze a dict of ``rel_path -> source``, one file at a time."""
     config = config or AnalysisConfig()
     selected = _selected_codes(select, ignore)
     findings: list[Finding] = []
     suppressed = 0
-    contexts: dict = {}
-    suppressions_by_file: dict = {}
     for rel_path in sorted(sources):
-        file_findings, file_suppressed, ctx, suppressions = _per_file(
+        file_findings, file_suppressed = _check_file(
             sources[rel_path], rel_path, config, selected
         )
         findings.extend(file_findings)
         suppressed += file_suppressed
-        if ctx is not None:
-            contexts[rel_path] = ctx
-            suppressions_by_file[rel_path] = suppressions
-    project_findings, project_suppressed = _run_project_rules(
-        contexts, suppressions_by_file, config, selected
-    )
-    findings.extend(project_findings)
-    suppressed += project_suppressed
     findings.sort()
     return AnalysisResult(
         findings=findings, files_checked=len(sources), suppressed=suppressed

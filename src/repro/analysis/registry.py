@@ -1,16 +1,8 @@
 """Rule registry, findings, and severities for the invariant checker.
 
-The checker is organized as a flat registry of rule objects, each owning
-one ``REPnnn`` code, in two shapes:
-
-* :class:`Rule` — per-file.  Receives a fully-parsed
-  :class:`FileContext` and yields :class:`Finding` objects.
-* :class:`ProjectRule` — whole-program.  Runs once per analysis over a
-  :class:`ProjectContext` carrying every file's context plus the
-  project-wide symbol table / call graph
-  (:class:`repro.analysis.resolve.ProjectGraph`), so it can check
-  *cross-module* invariants (pickle-safety across process seams,
-  observer propagation through call chains, …).
+The checker is organized as a flat registry of :class:`Rule` objects,
+each owning one ``REPnnn`` code.  A rule receives one fully-parsed
+:class:`FileContext` at a time and yields :class:`Finding` objects.
 
 The engine owns file discovery, suppression comments, and
 severity/exit-code policy, so rules stay small and testable in isolation.
@@ -29,14 +21,10 @@ __all__ = [
     "Severity",
     "Finding",
     "FileContext",
-    "ProjectContext",
     "Rule",
-    "ProjectRule",
     "RULE_REGISTRY",
     "register_rule",
     "all_rules",
-    "file_rules",
-    "project_rules",
     "get_rule",
 ]
 
@@ -85,7 +73,7 @@ class FileContext:
     ``rel_path`` is the path relative to the analysis root using ``/``
     separators — all include/exclude patterns match against it.
     ``imports`` is the file's import table, built once by
-    :meth:`from_source` and shared by every rule and the graph pass.
+    :meth:`from_source` and shared by every rule.
     """
 
     rel_path: str
@@ -109,27 +97,6 @@ class FileContext:
             options=dict(options or {}),
             imports=ImportTable(tree),
         )
-
-
-@dataclasses.dataclass
-class ProjectContext:
-    """Everything a :class:`ProjectRule` may inspect about the tree.
-
-    ``files`` maps every analyzed relative path to its parsed
-    :class:`FileContext`; ``graph`` is the project-wide symbol table and
-    call graph; ``target_files`` is the sorted subset of ``files`` the
-    rule's include/exclude configuration selects (rules should *report*
-    only inside it, but may consult any file or graph node to decide).
-    """
-
-    files: dict
-    graph: "object"
-    target_files: tuple = ()
-    options: dict = dataclasses.field(default_factory=dict)
-
-    def context(self, rel_path: str) -> Optional[FileContext]:
-        """The parsed context of one file, or ``None`` if not analyzed."""
-        return self.files.get(rel_path)
 
 
 class Rule:
@@ -179,7 +146,7 @@ class Rule:
         message: str,
         severity: Optional[Severity] = None,
     ) -> Finding:
-        """Build a finding at an explicit location (for graph-derived hits)."""
+        """Build a finding at an explicit location (no single node spans it)."""
         return Finding(
             path=path,
             line=line,
@@ -188,24 +155,6 @@ class Rule:
             message=message,
             severity=severity or self.default_severity,
         )
-
-
-class ProjectRule(Rule):
-    """Base class for one *whole-program* invariant check.
-
-    Subclasses implement :meth:`check_project` instead of :meth:`check`;
-    the engine runs them once per analysis (pass 2), after the project
-    graph is built, and applies suppressions/severities exactly as for
-    per-file rules.
-    """
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Project rules run via :meth:`check_project`, never per file."""
-        return iter(())
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        """Yield findings for the whole tree.  Subclasses must override."""
-        raise NotImplementedError
 
 
 #: Global code -> rule-instance registry, populated at import time by the
@@ -225,16 +174,6 @@ def register_rule(cls: Callable[[], Rule]):
 def all_rules() -> list[Rule]:
     """Every registered rule, sorted by code."""
     return [RULE_REGISTRY[code] for code in sorted(RULE_REGISTRY)]
-
-
-def file_rules() -> list[Rule]:
-    """Registered per-file rules, sorted by code."""
-    return [r for r in all_rules() if not isinstance(r, ProjectRule)]
-
-
-def project_rules() -> list[Rule]:
-    """Registered whole-program rules, sorted by code."""
-    return [r for r in all_rules() if isinstance(r, ProjectRule)]
 
 
 def get_rule(code: str) -> Rule:

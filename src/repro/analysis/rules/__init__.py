@@ -17,8 +17,6 @@ from .float_equality import FloatEqualityRule
 from .ingest_discipline import IngestDisciplineRule
 from .kernel_seam import KernelSeamRule
 from .naming import MetricNameRule
-from .observer_propagation import ObserverPropagationRule
-from .pickle_safety import PickleSafetyRule
 
 __all__ = [
     "ApiConsistencyRule",
@@ -32,6 +30,4 @@ __all__ = [
     "IngestDisciplineRule",
     "KernelSeamRule",
     "MetricNameRule",
-    "ObserverPropagationRule",
-    "PickleSafetyRule",
 ]

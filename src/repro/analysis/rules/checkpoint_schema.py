@@ -8,7 +8,7 @@ key written and never read is silent state loss on recovery; a key read
 but never written is a ``KeyError`` that only fires mid-disaster, during
 an actual recover.
 
-For every class among the rule's target files that has **both** a
+For every class in the rule's target files that has **both** a
 save-side method (name containing ``state``/``save``/``checkpoint``/
 ``snapshot``) and a restore-side method (name starting ``from_`` or
 containing ``restore``/``recover``/``load`` — classified first, so
@@ -30,7 +30,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..registry import Finding, ProjectContext, ProjectRule, register_rule
+from ..registry import FileContext, Finding, Rule, register_rule
 
 __all__ = ["CheckpointSchemaRule"]
 
@@ -104,7 +104,7 @@ def _read_keys(method: ast.AST) -> dict:
 
 
 @register_rule
-class CheckpointSchemaRule(ProjectRule):
+class CheckpointSchemaRule(Rule):
     """Flag save/restore key sets that have drifted apart."""
 
     code = "REP010"
@@ -116,14 +116,10 @@ class CheckpointSchemaRule(ProjectRule):
     default_include = ("src",)
     default_exclude = ("tests",)
 
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        for rel_path in project.target_files:
-            ctx = project.context(rel_path)
-            if ctx is None:
-                continue
-            for node in ast.walk(ctx.tree):
-                if isinstance(node, ast.ClassDef):
-                    yield from self._check_class(rel_path, node)
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ClassDef):
+                yield from self._check_class(ctx.rel_path, node)
 
     def _check_class(
         self, rel_path: str, class_node: ast.ClassDef

@@ -5,7 +5,9 @@ which together resolve an attribute/call expression like
 ``np.random.default_rng(...)`` to its canonical dotted name
 ``numpy.random.default_rng`` regardless of how the module was imported
 (``import numpy as np``, ``from numpy import random``,
-``from numpy.random import default_rng``, …).
+``from numpy.random import default_rng``, …).  :func:`self_call_graph`
+and :func:`reaches` answer "does this method get to that one through
+``self.`` calls" within one class.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ __all__ = [
     "iter_top_level_defs",
     "string_list_literal",
     "has_docstring",
+    "self_call_graph",
+    "reaches",
 ]
 
 
@@ -59,3 +63,44 @@ def has_docstring(node: ast.AST) -> bool:
         return ast.get_docstring(node, clean=False) is not None
     except TypeError:  # pragma: no cover - non-docstring node kinds
         return False
+
+
+def _self_calls(func: ast.AST) -> set:
+    """Methods invoked as ``self.<name>(...)``, plus ``super:<name>`` markers."""
+    called: set[str] = set()
+    for node in ast.walk(func):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        receiver = node.func.value
+        if isinstance(receiver, ast.Name) and receiver.id == "self":
+            called.add(node.func.attr)
+        elif (
+            isinstance(receiver, ast.Call)
+            and isinstance(receiver.func, ast.Name)
+            and receiver.func.id == "super"
+        ):
+            called.add(f"super:{node.func.attr}")
+    return called
+
+
+def self_call_graph(cls: ast.ClassDef) -> dict:
+    """Method name -> the names its body calls on ``self`` (or ``super()``)."""
+    return {
+        item.name: _self_calls(item)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def reaches(call_graph: dict, start: str, targets) -> bool:
+    """Whether *start*, or a method it reaches in *call_graph*, is a target."""
+    seen: set[str] = set()
+    frontier = [start]
+    while frontier:
+        current = frontier.pop()
+        if current in targets:
+            return True
+        if current not in seen:
+            seen.add(current)
+            frontier.extend(call_graph.get(current, ()))
+    return False

@@ -10,7 +10,8 @@ implemented sketch fails review rather than failing at runtime.
 
 The transitive part matters in practice: ``AgmsSketch.inner_product``
 delegates to ``row_inner_products``, which performs the check — so the
-rule builds a small per-class ``self.*`` call graph and asks whether
+rule asks the per-class ``self.*`` call graph
+(:func:`~repro.analysis.rules.common.self_call_graph`) whether
 ``check_compatible`` is reachable from the override.
 """
 
@@ -20,6 +21,7 @@ import ast
 from typing import Iterator
 
 from ..registry import FileContext, Finding, Rule, register_rule
+from .common import reaches, self_call_graph
 
 __all__ = ["EstimatorContractRule"]
 
@@ -44,24 +46,6 @@ def _base_names(cls: ast.ClassDef) -> set:
     return names
 
 
-def _self_calls(func: ast.FunctionDef) -> set:
-    """Methods invoked as ``self.<name>(...)``, plus ``super:<name>`` markers."""
-    called: set[str] = set()
-    for node in ast.walk(func):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-            continue
-        receiver = node.func.value
-        if isinstance(receiver, ast.Name) and receiver.id == "self":
-            called.add(node.func.attr)
-        elif (
-            isinstance(receiver, ast.Call)
-            and isinstance(receiver.func, ast.Name)
-            and receiver.func.id == "super"
-        ):
-            called.add(f"super:{node.func.attr}")
-    return called
-
-
 #: Callees that terminate the search: the check itself, or a delegation to a
 #: base-class method that performs it (Sketch.merge / Sketch.check_compatible).
 _SATISFYING_CALLEES = {
@@ -70,23 +54,6 @@ _SATISFYING_CALLEES = {
     "super:merge",
     "super:inner_product",
 }
-
-
-def _reaches_check(start: str, call_graph: dict) -> bool:
-    """Whether ``check_compatible`` is reachable from *start* in the class."""
-    seen: set[str] = set()
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        for callee in call_graph.get(current, set()):
-            if callee in _SATISFYING_CALLEES:
-                return True
-            if not callee.startswith("super:"):
-                frontier.append(callee)
-    return False
 
 
 @register_rule
@@ -131,14 +98,12 @@ class EstimatorContractRule(Rule):
                             "(sketches/base.py)",
                         )
 
-            call_graph = {
-                name: _self_calls(method) for name, method in methods.items()
-            }
+            call_graph = self_call_graph(node)
             for checked in _CHECKED_METHODS:
                 method = methods.get(checked)
                 if method is None:
                     continue  # inherited implementation already checks
-                if not _reaches_check(checked, call_graph):
+                if not reaches(call_graph, checked, _SATISFYING_CALLEES):
                     yield self.finding(
                         ctx,
                         method,

@@ -16,17 +16,14 @@ default):
   scatter-add, and outside :mod:`repro.kernels` it is always a bypass;
 * an assignment or augmented assignment to a ``self.<attr>[...]``
   subscript inside a ``for``/``while`` loop, **unless** the enclosing
-  function transitively reaches the backend seam (resolved over the
-  project call graph via :meth:`~repro.analysis.resolve.ProjectGraph.reaches`)
-  — a method that routes through ``get_backend()`` may still do
-  per-element *setup* work around the kernel call.
+  function reaches the backend seam — by calling it, or through a chain
+  of same-class ``self.`` calls to a method that does — since a method
+  that routes through the seam may still do per-element *setup* work
+  around the kernel call.
 
-The seam targets default to ``repro.kernels.get_backend`` (and its
-re-export source) plus the fused multi-sketch entry point
-``repro.kernels.fused_update`` — a function that routes its updates
-through a fused plan is just as seam-compliant as one that calls
-``get_backend()`` directly.  Override via the ``seam`` option in
-``[tool.repro.analysis.rep008]``.
+The seam is ``repro.kernels.get_backend`` and the fused multi-sketch
+entry point ``repro.kernels.fused_update`` (plus their defining
+modules), resolved through the file's imports.
 """
 
 from __future__ import annotations
@@ -34,18 +31,31 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from ..registry import Finding, ProjectContext, ProjectRule, register_rule
-from .common import qualified_name
+from ..registry import FileContext, Finding, Rule, register_rule
+from .common import qualified_name, reaches, self_call_graph
 
 __all__ = ["KernelSeamRule"]
 
-#: Canonical names whose reachability marks a function as seam-routed.
-_SEAM_TARGETS = (
-    "repro.kernels.get_backend",
-    "repro.kernels.backend.get_backend",
-    "repro.kernels.fused_update",
-    "repro.kernels.fused.fused_update",
+#: Canonical names of the backend seam.
+_SEAM_TARGETS = frozenset(
+    {
+        "repro.kernels.get_backend",
+        "repro.kernels.backend.get_backend",
+        "repro.kernels.fused_update",
+        "repro.kernels.fused.fused_update",
+    }
 )
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _absolute(dotted: str, rel_path: str) -> str:
+    """Resolve a relative import path (``..kernels.x``) against *rel_path*."""
+    level = len(dotted) - len(dotted.lstrip("."))
+    if not level:
+        return dotted
+    package = rel_path.removeprefix("src/").split("/")[:-1]
+    return ".".join(package[: len(package) - level + 1] + [dotted[level:]])
 
 
 def _subscript_self_target(node: ast.expr) -> Optional[str]:
@@ -62,8 +72,49 @@ def _subscript_self_target(node: ast.expr) -> Optional[str]:
     return None
 
 
+def _own_body_walk(node):
+    """Walk a subtree without descending into nested function defs.
+
+    Keeps each store and call attributed to exactly one function — the
+    nested def is visited separately as its own function.
+    """
+    stack = list(ast.iter_child_nodes(node))
+    while stack:
+        child = stack.pop()
+        if isinstance(child, (*_FUNCTIONS, ast.Lambda)):
+            continue
+        yield child
+        stack.extend(ast.iter_child_nodes(child))
+
+
+def _loop_state_stores(func_node):
+    """``(node, "self.attr")`` pairs for subscript stores in loops.
+
+    Deduplicated by node identity so a store inside nested loops is
+    reported once.
+    """
+    seen: set = set()
+    for node in _own_body_walk(func_node):
+        if not isinstance(node, (ast.For, ast.While)):
+            continue
+        for inner in _own_body_walk(node):
+            if id(inner) in seen:
+                continue
+            seen.add(id(inner))
+            if isinstance(inner, ast.AugAssign):
+                targets = [inner.target]
+            elif isinstance(inner, ast.Assign):
+                targets = inner.targets
+            else:
+                continue
+            for assign_target in targets:
+                target = _subscript_self_target(assign_target)
+                if target is not None:
+                    yield inner, target
+
+
 @register_rule
-class KernelSeamRule(ProjectRule):
+class KernelSeamRule(Rule):
     """Flag per-element sketch updates that bypass the kernels backend."""
 
     code = "REP008"
@@ -75,111 +126,53 @@ class KernelSeamRule(ProjectRule):
     )
     default_include = ("src/repro/sketches",)
 
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        graph = project.graph
-        seam_targets = tuple(
-            project.options.get("seam", ())
-        ) or _SEAM_TARGETS
-        for rel_path in project.target_files:
-            ctx = project.context(rel_path)
-            module = graph.module_for_path(rel_path)
-            if ctx is None or module is None:
-                continue
-            yield from self._check_module(
-                rel_path, ctx.tree, module, graph, seam_targets
-            )
-
-    def _check_module(
-        self, rel_path, tree, module, graph, seam_targets
-    ) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                dotted = qualified_name(node.func)
-                if dotted is not None:
-                    canonical = graph.canonical_in(module, dotted)
-                    if canonical == "numpy.add.at":
-                        yield self.finding_at(
-                            rel_path,
-                            node.lineno,
-                            node.col_offset,
-                            "direct numpy.add.at on sketch state bypasses the "
-                            "kernels backend seam — use "
-                            "get_backend().scatter_add() so all backends stay "
-                            "bit-identical",
-                        )
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(
-                    rel_path, node, module, graph, seam_targets
-                )
-
-    def _check_function(
-        self, rel_path, func_node, module, graph, seam_targets
-    ) -> Iterator[Finding]:
-        stores = list(self._loop_state_stores(func_node))
-        if not stores:
-            return
-        fn_info = self._function_info(module, func_node)
-        if fn_info is not None and any(
-            graph.reaches(fn_info, target) for target in seam_targets
-        ):
-            return
-        for store_node, target in stores:
-            yield self.finding_at(
-                rel_path,
-                store_node.lineno,
-                store_node.col_offset,
-                f"per-element update to {target} inside a loop bypasses the "
-                "kernels backend seam — route the update through "
-                "repro.kernels.get_backend() so all backends stay "
-                "bit-identical",
-            )
-
-    @staticmethod
-    def _function_info(module, func_node):
-        """The graph summary matching *func_node* (by name and line)."""
-        for fn in module.functions.values():
-            if fn.name == func_node.name and fn.lineno == func_node.lineno:
-                return fn
-        return None
-
-    @staticmethod
-    def _own_body_walk(node):
-        """Walk a subtree without descending into nested function defs.
-
-        Keeps each store attributed to exactly one function — the nested
-        def is visited separately as its own function.
-        """
-        stack = list(ast.iter_child_nodes(node))
-        while stack:
-            child = stack.pop()
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        routed: set = set()  # methods that reach the seam via self. calls
+        for node in ast.walk(ctx.tree):
+            if (
+                isinstance(node, ast.Call)
+                and self._canonical(ctx, node) == "numpy.add.at"
             ):
-                continue
-            yield child
-            stack.extend(ast.iter_child_nodes(child))
+                yield self.finding(
+                    ctx,
+                    node,
+                    "direct numpy.add.at on sketch state bypasses the "
+                    "kernels backend seam — use "
+                    "get_backend().scatter_add() so all backends stay "
+                    "bit-identical",
+                )
+            elif isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, _FUNCTIONS)]
+                seam = {m.name for m in methods if self._calls_seam(ctx, m)}
+                graph = self_call_graph(node)
+                routed.update(
+                    m for m in methods if reaches(graph, m.name, seam)
+                )
+        for node in ast.walk(ctx.tree):
+            if (
+                isinstance(node, _FUNCTIONS)
+                and node not in routed
+                and not self._calls_seam(ctx, node)
+            ):
+                for store, target in _loop_state_stores(node):
+                    yield self.finding(
+                        ctx,
+                        store,
+                        f"per-element update to {target} inside a loop "
+                        "bypasses the kernels backend seam — route the "
+                        "update through repro.kernels.get_backend() so all "
+                        "backends stay bit-identical",
+                    )
+
+    @staticmethod
+    def _canonical(ctx: FileContext, call: ast.Call) -> Optional[str]:
+        dotted = qualified_name(call.func, ctx.imports)
+        return None if dotted is None else _absolute(dotted, ctx.rel_path)
 
     @classmethod
-    def _loop_state_stores(cls, func_node):
-        """``(node, "self.attr")`` pairs for subscript stores in loops.
-
-        Deduplicated by node identity so a store inside nested loops is
-        reported once.
-        """
-        seen: set = set()
-        for node in cls._own_body_walk(func_node):
-            if not isinstance(node, (ast.For, ast.While)):
-                continue
-            for inner in cls._own_body_walk(node):
-                if id(inner) in seen:
-                    continue
-                seen.add(id(inner))
-                if isinstance(inner, ast.AugAssign):
-                    target = _subscript_self_target(inner.target)
-                    if target is not None:
-                        yield inner, target
-                elif isinstance(inner, ast.Assign):
-                    for assign_target in inner.targets:
-                        target = _subscript_self_target(assign_target)
-                        if target is not None:
-                            yield inner, target
+    def _calls_seam(cls, ctx: FileContext, func_node) -> bool:
+        return any(
+            isinstance(node, ast.Call)
+            and cls._canonical(ctx, node) in _SEAM_TARGETS
+            for node in _own_body_walk(func_node)
+        )

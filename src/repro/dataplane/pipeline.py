@@ -358,10 +358,13 @@ class Pipeline:
                     obs.gauge("dataplane.queue.depth").set(queue.depth)
                 self._deliver(item)
         except BaseException:
+            # No join: a producer parked inside the source exits on its
+            # next put into the aborted queue.
             queue.abort()
             raise
-        finally:
+        else:
             producer.join()
+        finally:
             wait = queue.get_wait.value
             if obs.enabled and wait is not None:
                 obs.histogram("dataplane.queue.wait_seconds").observe(wait)

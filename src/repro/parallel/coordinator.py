@@ -69,7 +69,7 @@ from ..sketches.base import Sketch
 from ..sketches.serialization import build_sketch, sketch_header
 from ..variance.bounds import ConfidenceInterval, interval
 from .merge import combine_shard_infos, reduce_counter_tree, sample_size_vector
-from .partition import SHARD_MODES, ShardPlan, make_shard_plan
+from .partition import ShardPlan, make_shard_plan
 from .pool import WorkerPool, available_cpus
 from .shm import SharedBlock
 from .worker import (
@@ -705,7 +705,6 @@ def parallel_update(
     *,
     shards: Optional[int] = None,
     pool: Optional[WorkerPool] = None,
-    mode: str = "hash",
     shared_memory: Optional[bool] = None,
     chunk_size: Optional[int] = None,
 ) -> Sketch:
@@ -719,19 +718,11 @@ def parallel_update(
     dynamic work-stealing, no static shard assignment), each chunk
     accumulates into its own slot of a shared counter block, and the
     slots reduce in the fixed :func:`~.merge.reduce_counter_tree` order.
-
-    *mode* is validated for API compatibility with
-    :func:`run_sharded_sketch` but no longer selects a partitioner: both
-    documented modes were already bit-identical here, and contiguous
-    chunks make the shared key block a single copy of the input (hash
-    partitioning would pay an extra argsort for nothing).  *chunk_size*
-    overrides the auto-chunker (which targets a few chunks per worker,
-    never below 16 Ki keys).  Returns *sketch* for chaining.
+    Contiguous chunks make the shared key block a single copy of the
+    input.  *chunk_size* overrides the auto-chunker (which targets a few
+    chunks per worker, never below 16 Ki keys).  Returns *sketch* for
+    chaining.
     """
-    if mode not in SHARD_MODES:
-        raise ConfigurationError(
-            f"unknown shard mode {mode!r}; expected one of {SHARD_MODES}"
-        )
     shards = _default_shards(shards, pool)
     keys = np.asarray(keys)
     if keys.ndim != 1:

@@ -6,7 +6,9 @@ framework, no new dependencies.  Connections are persistent by default
 one accepted socket and one long-lived reader task, not a TCP handshake
 and task spawn per query — which is what keeps the serving tax on the
 ingest thread inside the benchmark gate.  A request carrying
-``Connection: close`` (or a client hanging up) ends the connection.
+``Connection: close`` (or a client hanging up) ends the connection, and
+so does a request that is not read in full within
+``_READ_DEADLINE_S`` seconds: it gets ``408`` and ``Connection: close``.
 
 Routes
 ------
@@ -54,6 +56,9 @@ __all__ = ["ServerHandle", "serve_in_thread"]
 
 _MAX_HEADER_BYTES = 16384
 _MAX_BODY_BYTES = 65536
+#: Seconds a connection may take to deliver one whole request (head and
+#: body, idle keep-alive time included) before it is answered 408.
+_READ_DEADLINE_S = 30.0
 
 
 # ----------------------------------------------------------------------
@@ -105,6 +110,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -250,27 +256,43 @@ class _QueryServer:
         """Serve requests on one connection until it closes.
 
         HTTP/1.1 keep-alive: the loop reads request after request off
-        the same socket, ending on EOF, garbage framing, or an explicit
-        ``Connection: close``.  Per-request metrics land inside the
-        loop so a long-lived dashboard connection still counts every
-        query it makes.
+        the same socket, ending on EOF, garbage framing, an explicit
+        ``Connection: close``, or a read that overruns its deadline.
+        Per-request metrics land inside the loop so a long-lived
+        dashboard connection still counts every query it makes.
         """
+        loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+        expired = False
+
+        def expire() -> None:
+            nonlocal expired
+            expired = True
+            task.cancel()
+
         try:
             keep_alive = True
             while keep_alive:
+                # One timer per request, not asyncio.wait_for: before
+                # Python 3.12 that spawns a task per call.
+                deadline = loop.call_later(_READ_DEADLINE_S, expire)
                 try:
                     method, target, headers, body = await self._read_request(
                         reader
                     )
+                except asyncio.CancelledError:
+                    if not expired:
+                        raise  # the server is shutting down
+                    self._respond(
+                        writer, 408, {"error": "request not received in time"}
+                    )
+                    break
                 except (
                     asyncio.IncompleteReadError,
                     ConnectionError,
                     asyncio.LimitOverrunError,
-                    asyncio.CancelledError,
                 ):
-                    # Client went away, sent garbage framing, or the
-                    # server is shutting down while this keep-alive
-                    # connection sat idle between requests.
+                    # Client went away or sent garbage framing.
                     break
                 except _HttpError as exc:
                     # A bad or oversized Content-Length: the body's extent
@@ -278,6 +300,8 @@ class _QueryServer:
                     # (closing flushes the answer).
                     self._respond(writer, exc.status, {"error": exc.message})
                     break
+                finally:
+                    deadline.cancel()
                 keep_alive = headers.get("connection", "").lower() != "close"
                 status = 500
                 parts = urlsplit(target)
@@ -396,7 +420,11 @@ class ServerHandle:
         return f"http://{self.host}:{self.port}"
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Stop the event loop and join the server thread."""
+        """Stop the event loop and join the server thread.
+
+        The thread closes the listening socket and every open connection
+        before it ends.
+        """
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout)
 
@@ -428,19 +456,17 @@ def serve_in_thread(
     started = threading.Event()
     bound: dict = {}
 
-    async def _start() -> None:
-        listener = await asyncio.start_server(
-            server.serve_connection, host, port
+    def _run() -> None:
+        asyncio.set_event_loop(loop)
+        listener = loop.run_until_complete(
+            asyncio.start_server(server.serve_connection, host, port)
         )
         bound["port"] = listener.sockets[0].getsockname()[1]
         started.set()
-
-    def _run() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(_start())
         try:
             loop.run_forever()
         finally:
+            listener.close()
             # Let cancelled handlers unwind before dropping the loop.
             pending = asyncio.all_tasks(loop)
             for task in pending:
@@ -449,6 +475,7 @@ def serve_in_thread(
                 loop.run_until_complete(
                     asyncio.gather(*pending, return_exceptions=True)
                 )
+            loop.run_until_complete(listener.wait_closed())
             loop.close()
 
     thread = threading.Thread(target=_run, name="serving-http", daemon=True)

@@ -206,7 +206,8 @@ def load_sketch(path) -> Sketch:
     """
     path = Path(path)
     try:
-        with np.load(path) as data:
+        # np.load leaks the handle it opens when the archive is unreadable.
+        with open(path, "rb") as handle, np.load(handle) as data:
             if "header" not in data or "counters" not in data:
                 raise SerializationError(
                     f"{path} is not a sketch file (missing header/counters entries)"

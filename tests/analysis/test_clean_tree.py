@@ -34,9 +34,7 @@ def test_all_shipped_rules_are_registered_and_enforced():
         "REP004",
         "REP005",
         "REP006",
-        "REP007",
         "REP008",
-        "REP009",
         "REP010",
         "REP011",
         "REP012",

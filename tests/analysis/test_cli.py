@@ -83,9 +83,7 @@ class TestMain:
             "REP004",
             "REP005",
             "REP006",
-            "REP007",
             "REP008",
-            "REP009",
             "REP010",
             "REP011",
             "REP012",

@@ -1,9 +1,14 @@
 """Pipeline semantics: cursor, governor wiring, threading, observability."""
 
+import socket
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from repro.dataplane import (
+    CallbackSink,
     CollectSink,
     FileSource,
     IterableSource,
@@ -12,6 +17,8 @@ from repro.dataplane import (
     ShedOperator,
     SketchUpdateOperator,
     SketcherSink,
+    SocketSource,
+    send_frames,
 )
 from repro.errors import ConfigurationError, StreamIntegrityError
 from repro.observability import Observer
@@ -123,6 +130,42 @@ def test_producer_failure_propagates_in_threaded_mode():
     )
     with pytest.raises(OSError, match="source died"):
         pipeline.run()
+
+
+def test_sink_failure_does_not_wait_on_a_blocked_source():
+    """A failing sink raises while the producer is parked in ``recv``."""
+
+    def failing_write(envelope):
+        raise OSError("sink died")
+
+    writer, reader = socket.socketpair()
+    executor = ThreadPoolExecutor(1)
+    before = set(threading.enumerate())
+    producers = []
+    try:
+        send_frames(writer, [np.arange(8)])  # one frame; the writer stays open
+        pipeline = Pipeline(
+            SocketSource(reader),
+            sinks=[CallbackSink(failing_write)],
+            queue_depth=2,
+        )
+        future = executor.submit(pipeline.run)
+        # Times out (TimeoutError) when run() waits on the producer.
+        error = future.exception(timeout=5.0)
+        assert isinstance(error, OSError) and str(error) == "sink died"
+        producers = [
+            thread
+            for thread in set(threading.enumerate()) - before
+            if thread.name == "dataplane-source"
+        ]
+        assert len(producers) == 1  # still parked in recv
+    finally:
+        writer.close()  # EOF: a producer parked in recv returns
+        executor.shutdown(wait=True)
+        for thread in producers:
+            thread.join(5.0)
+        reader.close()
+    assert not producers[0].is_alive()
 
 
 def test_governor_retunes_the_shed_stage():

@@ -88,6 +88,43 @@ def test_process_pool_matches_inline(skewed_keys, process_pool):
     assert inline.info() == pooled.info()
 
 
+# Both transports over a real process boundary.  With shared_memory=False
+# every ShardTask / PartialUpdateTask and every result is pickled through
+# the pool's pipe, so anything unpicklable placed in a task fails here.
+TRANSPORTS = pytest.mark.parametrize(
+    "shared_memory", [False, True], ids=["pipe", "shm"]
+)
+
+
+@TRANSPORTS
+def test_run_sharded_sketch_over_processes_is_bit_identical(
+    skewed_keys, process_pool, shared_memory
+):
+    sequential = FagmsSketch(64, rows=3, seed=17)
+    sequential.update(skewed_keys)
+    result = run_sharded_sketch(
+        skewed_keys,
+        sequential.copy_empty(),
+        shards=4,
+        pool=process_pool,
+        shared_memory=shared_memory,
+    )
+    assert np.array_equal(sequential._state(), result.sketch._state())
+
+
+@TRANSPORTS
+def test_parallel_update_over_processes_is_bit_identical(
+    skewed_keys, process_pool, shared_memory
+):
+    sequential = FagmsSketch(64, rows=3, seed=17)
+    sequential.update(skewed_keys)
+    sharded = FagmsSketch(64, rows=3, seed=17)
+    parallel_update(
+        sharded, skewed_keys, pool=process_pool, shared_memory=shared_memory
+    )
+    assert np.array_equal(sequential._state(), sharded._state())
+
+
 # ----------------------------------------------------------------------
 # Shedding: reproducibility, independence, estimator correctness
 # ----------------------------------------------------------------------
@@ -230,11 +267,17 @@ def test_rejects_bad_shard_count(skewed_keys):
 
 @pytest.mark.parametrize("mode", ["hash", "range"])
 def test_parallel_update_equals_sequential_update(skewed_keys, mode):
+    """Chunked parallel_update, sequential update and the sharded scan in
+    either shard mode (no shedding) all produce the same counters."""
     direct = FagmsSketch(64, rows=3, seed=17)
     direct.update(skewed_keys)
     sharded = FagmsSketch(64, rows=3, seed=17)
-    parallel_update(sharded, skewed_keys, shards=4, mode=mode)
+    parallel_update(sharded, skewed_keys, shards=4)
     assert np.array_equal(direct._state(), sharded._state())
+    scan = run_sharded_sketch(
+        skewed_keys, direct.copy_empty(), shards=4, mode=mode
+    )
+    assert np.array_equal(sharded._state(), scan.sketch._state())
 
 
 def test_parallel_update_accumulates(skewed_keys):

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import socket
 import time
 import urllib.error
 import urllib.request
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.dataplane import IterableSource, Pipeline, RegistrySink
+from repro.serving import http as serving_http
 from repro.serving import (
     AdmissionController,
     SketchRegistry,
@@ -249,6 +252,26 @@ class TestBoundaryInputs:
         # The server is still up for the next client.
         assert get(f"{handle.url}/healthz")[0] == 200
 
+    def test_stalled_request_is_408_then_closed(self, service, monkeypatch):
+        _, handle = service
+        # raising=False: without a deadline the read below times out.
+        monkeypatch.setattr(
+            serving_http, "_READ_DEADLINE_S", 0.2, raising=False
+        )
+        with socket.create_connection((handle.host, handle.port), 10) as sock:
+            sock.settimeout(5.0)
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x")  # and stop
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        assert status_line.split(" ", 2)[1] == "408"
+        assert "Connection: close" in header_lines
+        assert json.loads(body)["error"]
+        # A new connection is served as usual.
+        assert get(f"{handle.url}/healthz")[0] == 200
+
 
 class TestAdmission:
     def test_quota_shed_returns_429_with_retry_after(self):
@@ -293,11 +316,19 @@ class TestLifecycle:
     def test_stop_frees_the_port(self):
         registry = SketchRegistry(buckets=64, seed=1)
         registry.register_stream("s", 10)
-        handle = serve_in_thread(registry)
-        get(f"{handle.url}/healthz")
-        handle.stop()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            handle = serve_in_thread(registry)
+            url = handle.url
+            get(f"{url}/healthz")
+            handle.stop()
+            del handle
+            gc.collect()
+        # stop() closed the listener; the garbage collector found none.
+        leaks = [w for w in caught if w.category is ResourceWarning]
+        assert [str(w.message) for w in leaks] == []
         with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):
-            get(f"{handle.url}/healthz")
+            get(f"{url}/healthz")
 
     def test_queries_while_ingesting(self):
         registry = SketchRegistry(buckets=256, rows=3, seed=5)

@@ -119,6 +119,9 @@ def test_load_raises_serialization_error_on_garbage_file(tmp_path):
 
 
 def test_load_raises_serialization_error_on_truncated_file(tmp_path):
+    import gc
+    import warnings
+
     from repro.errors import SerializationError
 
     sketch = FagmsSketch(buckets=16, seed=3)
@@ -126,8 +129,14 @@ def test_load_raises_serialization_error_on_truncated_file(tmp_path):
     save_sketch(sketch, path)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 3])
-    with pytest.raises(SerializationError):
-        load_sketch(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(SerializationError):
+            load_sketch(path)
+        gc.collect()
+    # The file is closed, not left to the garbage collector.
+    leaks = [w for w in caught if w.category is ResourceWarning]
+    assert [str(w.message) for w in leaks] == []
 
 
 def test_load_rejects_counter_shape_mismatch(tmp_path):
