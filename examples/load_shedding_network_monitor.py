@@ -38,11 +38,11 @@ from repro import (
 from repro.dataplane import (
     CallbackSink,
     IterableSource,
-    MicroBatchSource,
     Pipeline,
     SketcherSink,
 )
 from repro.resilience import ManualClock
+from repro.streams import iter_chunks
 
 SEED = 7
 STREAM_TUPLES = 1_000_000
@@ -151,7 +151,7 @@ def ddos_check(stream) -> None:
         FagmsSketch(4_096, seed=SEED + 4), p=0.01, seed=SEED
     )
     Pipeline(
-        MicroBatchSource([attack_keys], CHUNK),
+        IterableSource(iter_chunks(attack_keys, CHUNK)),
         sinks=[SketcherSink(attacked)],
         queue_depth=0,
     ).run()

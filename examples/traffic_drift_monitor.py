@@ -11,9 +11,10 @@ The scenario: stable traffic for several windows, then a key-distribution
 shift (e.g. a cache-busting deployment or a scanning attack).  The drift
 metric drops sharply at the shifted window while staying near 1 elsewhere.
 
-The scan runs on the composable dataplane: a
-:class:`~repro.dataplane.MicroBatchSource` re-chunks the raw traffic
-array into fixed micro-batches (the window sketcher's results are
+The scan runs on the composable dataplane: an
+:class:`~repro.dataplane.IterableSource` over
+:func:`~repro.streams.iter_chunks` re-chunks the raw traffic array into
+fixed micro-batches (the window sketcher's results are
 chunking-invariant — the shedder's skip-ahead state carries across
 batch boundaries) and a callback sink feeds the window monitor.
 
@@ -24,7 +25,8 @@ import numpy as np
 
 from repro import zipf_relation
 from repro.core.windows import TumblingWindowSketcher, window_join_size
-from repro.dataplane import CallbackSink, MicroBatchSource, Pipeline
+from repro.dataplane import CallbackSink, IterableSource, Pipeline
+from repro.streams import iter_chunks
 
 SEED = 71
 WINDOW = 50_000
@@ -75,7 +77,7 @@ def main() -> None:
             windows.append(summary)
 
     Pipeline(
-        MicroBatchSource([traffic], WINDOW // 8),
+        IterableSource(iter_chunks(traffic, WINDOW // 8)),
         sinks=[CallbackSink(watch)],
         queue_depth=4,
     ).run()

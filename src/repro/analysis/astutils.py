@@ -29,15 +29,15 @@ class ImportTable:
                     target = alias.name if alias.asname else local
                     self.aliases[local] = target
             elif isinstance(node, ast.ImportFrom):
-                if node.level:  # relative imports resolve within repro itself
-                    module = "." * node.level + (node.module or "")
-                else:
-                    module = node.module or ""
+                # Relative imports resolve within repro itself; the dots
+                # of ``from .. import x`` already separate ``x``.
+                dots = "." * node.level
+                prefix = f"{dots}{node.module}." if node.module else dots
                 for alias in node.names:
                     if alias.name == "*":
                         continue
                     local = alias.asname or alias.name
-                    self.aliases[local] = f"{module}.{alias.name}"
+                    self.aliases[local] = f"{prefix}{alias.name}"
 
     def resolve(self, dotted: str) -> str:
         """Canonicalize a source-level dotted name via the import aliases."""

@@ -31,8 +31,8 @@ import numpy as np
 from ..errors import ConfigurationError, InsufficientDataError
 from ..rng import SeedLike, as_seed_sequence
 from ..sampling.base import SampleInfo
-from ..sampling.unbiasing import join_scale, self_join_correction
 from ..sketches.fagms import FagmsSketch
+from .estimators import estimate_join_size, estimate_self_join_size
 from .load_shedding import LoadShedder
 
 __all__ = ["WindowSummary", "TumblingWindowSketcher", "window_join_size"]
@@ -48,8 +48,7 @@ class WindowSummary:
 
     def self_join_size(self) -> float:
         """Unbiased ``F₂`` of the window's full (pre-shedding) tuples."""
-        correction = self_join_correction(self.info)
-        return correction.apply(self.sketch.second_moment(), self.info.sample_size)
+        return estimate_self_join_size(self.sketch, self.info).value
 
     @property
     def tuples(self) -> int:
@@ -63,8 +62,7 @@ def window_join_size(a: WindowSummary, b: WindowSummary) -> float:
     The cross-window join size is the unnormalized traffic-similarity
     measure: it is maximal when the same keys dominate both windows.
     """
-    raw = a.sketch.inner_product(b.sketch)
-    return float(join_scale(a.info, b.info)) * raw
+    return estimate_join_size(a.sketch, a.info, b.sketch, b.info).value
 
 
 class TumblingWindowSketcher:

@@ -1,7 +1,7 @@
 """Composable dataplane: sources → operators → sinks with backpressure.
 
-One scan loop for every workload (ROADMAP item 5).  Build a
-:class:`Pipeline` from pluggable stages instead of hand-rolling ingest::
+One scan loop for every workload.  Build a :class:`Pipeline` from
+pluggable stages instead of hand-rolling ingest::
 
     from repro.dataplane import FileSource, Pipeline, SketcherSink
 
@@ -29,39 +29,30 @@ and a file-backed pipeline is bit-identical to the equivalent
 
 from .operators import (
     EngineOperator,
-    FilterOperator,
-    KeyPartitionOperator,
-    MapOperator,
     Operator,
     ShedOperator,
     SketchUpdateOperator,
-    TeeOperator,
 )
-from .pipeline import Branch, Pipeline, PipelineResult
+from .pipeline import Pipeline, PipelineResult
 from .queue import CLOSED, BoundedQueue, QueueAborted
 from .sinks import (
     CallbackSink,
     CheckpointSink,
     CollectSink,
-    ObserverExportSink,
     RegistrySink,
     RuntimeSink,
     Sink,
     SketcherSink,
-    flush_all,
 )
 from .sources import (
     FileSource,
     IterableSource,
-    MicroBatchSource,
     SocketSource,
     Source,
-    UnionSource,
     send_frames,
 )
 
 __all__ = [
-    "Branch",
     "Pipeline",
     "PipelineResult",
     "BoundedQueue",
@@ -69,26 +60,18 @@ __all__ = [
     "QueueAborted",
     "Operator",
     "EngineOperator",
-    "FilterOperator",
-    "KeyPartitionOperator",
-    "MapOperator",
     "ShedOperator",
     "SketchUpdateOperator",
-    "TeeOperator",
     "Sink",
     "CallbackSink",
     "CheckpointSink",
     "CollectSink",
-    "ObserverExportSink",
     "RegistrySink",
     "RuntimeSink",
     "SketcherSink",
-    "flush_all",
     "Source",
     "FileSource",
     "IterableSource",
-    "MicroBatchSource",
     "SocketSource",
-    "UnionSource",
     "send_frames",
 ]

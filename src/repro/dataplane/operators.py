@@ -8,51 +8,38 @@ exactly-once cursor and integrity checks keep working stage to stage.
 
 Shipped operators:
 
-* :class:`FilterOperator` / :class:`MapOperator` — vectorized predicate /
-  transform on the tuple batch;
 * :class:`ShedOperator` — fixed-rate Bernoulli load shedding via
   :class:`~repro.core.load_shedding.LoadShedder` (at ``p = 1`` the
   envelope passes through untouched and no RNG is consumed, preserving
   bit-identity);
 * :class:`SketchUpdateOperator` / :class:`EngineOperator` — feed a raw
   sketch or an :class:`~repro.engine.statistics.OnlineStatisticsEngine`
-  in passing (the envelope continues downstream unchanged);
-* :class:`KeyPartitionOperator` — splitmix64 fan-out to per-shard
-  branches, reusing :func:`repro.parallel.partition.shard_ids`;
-* :class:`TeeOperator` — copy the stream to side targets (multi-stream
-  joins: tee one stream into several sketches).
+  in passing (the envelope continues downstream unchanged), so one
+  stream can feed several consumers ahead of the sinks.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..core.load_shedding import LoadShedder
-from ..errors import ConfigurationError
-from ..parallel.partition import shard_ids
 from ..resilience.runtime import ChunkEnvelope, make_envelope
 from ..rng import SeedLike
 
 __all__ = [
     "EngineOperator",
-    "FilterOperator",
-    "KeyPartitionOperator",
-    "MapOperator",
     "Operator",
     "ShedOperator",
     "SketchUpdateOperator",
-    "TeeOperator",
 ]
 
 
 class Operator:
     """Base class for pipeline operators.
 
-    :meth:`process` maps one envelope to an iterable of envelopes;
-    :meth:`flush` runs at end-of-stream for operators that buffer or
-    fan out (default: nothing).
+    :meth:`process` maps one envelope to an iterable of envelopes.
     """
 
     #: Stage label used in ``dataplane.stage.*`` metrics.
@@ -61,52 +48,6 @@ class Operator:
     def process(self, envelope: ChunkEnvelope) -> Iterable[ChunkEnvelope]:
         """Transform one envelope into zero or more envelopes."""
         raise NotImplementedError
-
-    def flush(self) -> Iterable[ChunkEnvelope]:
-        """End-of-stream hook; may emit trailing envelopes."""
-        return ()
-
-
-class FilterOperator(Operator):
-    """Keep the tuples selected by a vectorized predicate.
-
-    *predicate* receives the batch's keys array and returns a boolean
-    mask (anything :func:`np.asarray` can coerce); the surviving keys
-    are resealed under the same sequence number.
-    """
-
-    name = "filter"
-
-    def __init__(self, predicate: Callable[[np.ndarray], np.ndarray]) -> None:
-        self.predicate = predicate
-
-    def process(self, envelope: ChunkEnvelope) -> Iterator[ChunkEnvelope]:
-        """Apply the mask and reseal."""
-        keys = np.asarray(envelope.keys)
-        mask = np.asarray(self.predicate(keys), dtype=bool)
-        if mask.shape != keys.shape:
-            raise ConfigurationError(
-                f"filter predicate returned shape {mask.shape} for a batch "
-                f"of shape {keys.shape}"
-            )
-        yield make_envelope(envelope.sequence, keys[mask])
-
-
-class MapOperator(Operator):
-    """Rewrite the batch with a vectorized transform (e.g. key projection).
-
-    *fn* receives the keys array and returns the replacement array; the
-    result is resealed under the same sequence number.
-    """
-
-    name = "map"
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]) -> None:
-        self.fn = fn
-
-    def process(self, envelope: ChunkEnvelope) -> Iterator[ChunkEnvelope]:
-        """Apply the transform and reseal."""
-        yield make_envelope(envelope.sequence, self.fn(np.asarray(envelope.keys)))
 
 
 class ShedOperator(Operator):
@@ -182,72 +123,3 @@ class EngineOperator(Operator):
             self.engine.consume(self.relation, keys)
         self.tuples += int(keys.size)
         yield envelope
-
-
-class TeeOperator(Operator):
-    """Copy every envelope to side targets, then forward it downstream.
-
-    Targets are sinks or :class:`~repro.dataplane.pipeline.Branch`
-    sub-chains (anything with ``accept``/``flush``) — the building block
-    for multi-stream joins, where one physical stream feeds several
-    logical consumers.
-    """
-
-    name = "tee"
-
-    def __init__(self, *targets) -> None:
-        if not targets:
-            raise ConfigurationError("TeeOperator needs at least one target")
-        self.targets: Sequence = tuple(targets)
-
-    def process(self, envelope: ChunkEnvelope) -> Iterator[ChunkEnvelope]:
-        """Deliver to every target, then forward the original envelope."""
-        for target in self.targets:
-            target.accept(envelope)
-        yield envelope
-
-    def flush(self) -> Iterator[ChunkEnvelope]:
-        """Flush every target at end-of-stream."""
-        for target in self.targets:
-            target.flush()
-        return iter(())
-
-
-class KeyPartitionOperator(Operator):
-    """splitmix64 fan-out: route each tuple to a per-shard branch.
-
-    Shard assignment reuses :func:`repro.parallel.partition.shard_ids`
-    (the sharded engine's partitioner), so a pipeline partition is
-    bit-compatible with an offline sharded scan.  Every branch receives
-    an envelope for *every* sequence — empty when no tuples landed on
-    its shard — keeping per-branch cursors contiguous.  The original
-    envelope is forwarded downstream unchanged.
-    """
-
-    name = "partition"
-
-    def __init__(self, branches: Sequence) -> None:
-        if not branches:
-            raise ConfigurationError(
-                "KeyPartitionOperator needs at least one branch"
-            )
-        self.branches: Sequence = tuple(branches)
-
-    def process(self, envelope: ChunkEnvelope) -> Iterator[ChunkEnvelope]:
-        """Partition the batch, deliver per-shard envelopes, forward."""
-        keys = np.asarray(envelope.keys)
-        shards = len(self.branches)
-        assignment = (
-            shard_ids(keys, shards) if keys.size else np.empty(0, dtype=np.int64)
-        )
-        for shard, branch in enumerate(self.branches):
-            branch.accept(
-                make_envelope(envelope.sequence, keys[assignment == shard])
-            )
-        yield envelope
-
-    def flush(self) -> Iterator[ChunkEnvelope]:
-        """Flush every branch at end-of-stream."""
-        for branch in self.branches:
-            branch.flush()
-        return iter(())

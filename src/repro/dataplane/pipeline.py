@@ -2,11 +2,8 @@
 
 :class:`Pipeline` ties a :class:`~repro.dataplane.sources.Source`, a
 chain of :class:`~repro.dataplane.operators.Operator` stages, and a list
-of :class:`~repro.dataplane.sinks.Sink` targets into the single ingest
-loop the rest of the library used to hand-roll four different ways
-(:class:`~repro.resilience.runtime.StreamRuntime`,
-:func:`~repro.engine.scan.run_lockstep_scan`, the sharded driver, and
-every example).
+of :class:`~repro.dataplane.sinks.Sink` targets into one ingest loop;
+:meth:`Pipeline._deliver` is the only place the chain runs.
 
 Semantics:
 
@@ -34,6 +31,8 @@ Semantics:
   wraps the source, and an :class:`~repro.observability.Observer`
   receives ``dataplane.stage.*`` metrics and the ``dataplane.run``
   span, end-to-end.
+* **One flush** — when the source is exhausted, each sink's ``flush``
+  runs exactly once, in list order, after its last envelope.
 
 Bit-identity: integer sketch updates are exact, shed stages at
 ``p = 1`` consume no randomness, and duplicates never reach operators —
@@ -55,10 +54,9 @@ from ..resilience.governor import LoadGovernor
 from ..resilience.runtime import ChunkEnvelope, verify_payload
 from .operators import Operator
 from .queue import CLOSED, BoundedQueue, QueueAborted
-from .sinks import flush_all
 from .sources import Source
 
-__all__ = ["Branch", "Pipeline", "PipelineResult"]
+__all__ = ["Pipeline", "PipelineResult"]
 
 
 class _Failure:
@@ -97,46 +95,6 @@ class PipelineResult:
     queue_get_wait: Optional[float]
 
 
-class Branch:
-    """A sub-chain (operators + sinks) used as a fan-out target.
-
-    :class:`~repro.dataplane.operators.KeyPartitionOperator` and
-    :class:`~repro.dataplane.operators.TeeOperator` deliver envelopes to
-    targets with ``accept``/``flush``; a :class:`Branch` lets such a
-    target be a whole chain rather than a single sink.  Branches trust
-    their upstream pipeline's head cursor and do not re-verify.
-    """
-
-    def __init__(self, *operators: Operator, sinks: Sequence = ()) -> None:
-        self.operators: Sequence[Operator] = tuple(operators)
-        self.sinks: Sequence = tuple(sinks)
-        if not self.operators and not self.sinks:
-            raise ConfigurationError("a Branch needs at least one stage")
-
-    def accept(self, envelope: ChunkEnvelope) -> None:
-        """Route one envelope through the branch's chain."""
-        envelopes = [envelope]
-        for operator in self.operators:
-            envelopes = [
-                produced
-                for received in envelopes
-                for produced in operator.process(received)
-            ]
-            if not envelopes:
-                return
-        for produced in envelopes:
-            for sink in self.sinks:
-                sink.accept(produced)
-
-    def flush(self) -> None:
-        """Cascade end-of-stream through the branch."""
-        for index, operator in enumerate(self.operators):
-            for trailing in operator.flush():
-                tail = Branch(*self.operators[index + 1 :], sinks=self.sinks)
-                tail.accept(trailing)
-        flush_all(self.sinks)
-
-
 class Pipeline:
     """Source → operators → sinks with backpressure and exactly-once.
 
@@ -147,7 +105,8 @@ class Pipeline:
     *operators:
         Transform chain, applied in order to every verified envelope.
     sinks:
-        Delivery targets (each envelope goes to every sink, in order).
+        Delivery targets (each envelope goes to every sink, in order;
+        each sink is flushed once, in order, at end of stream).
     queue_depth:
         Capacity of the producer/consumer hand-off queue — the
         backpressure bound.  ``0`` disables the producer thread and runs
@@ -316,14 +275,6 @@ class Pipeline:
         obs.counter("dataplane.tuples.delivered").inc(delivered)
         obs.histogram("dataplane.chunk.seconds").observe(elapsed)
 
-    def _flush(self) -> None:
-        """Cascade end-of-stream through operators, then flush sinks."""
-        for index, operator in enumerate(self.operators):
-            for trailing in operator.flush():
-                tail = Branch(*self.operators[index + 1 :], sinks=self.sinks)
-                tail.accept(trailing)
-        flush_all(self.sinks)
-
     def _run_threaded(self) -> None:
         obs = self.observer
         queue = BoundedQueue(self.queue_depth, clock=self.clock)
@@ -393,7 +344,8 @@ class Pipeline:
                     self._deliver(envelope)
             else:
                 self._run_threaded()
-            self._flush()
+            for sink in self.sinks:
+                sink.flush()
         queue = self.last_queue
         return PipelineResult(
             envelopes=self.envelopes_accepted - before_envelopes,

@@ -1,10 +1,14 @@
 """Pipeline sinks: where verified envelopes leave the dataplane.
 
-Sinks are the tail of a :class:`~repro.dataplane.pipeline.Pipeline` (and
-the targets of tee/partition fan-out).  Every sink keeps its own
-exactly-once cursor — duplicates are skipped, gaps raise
-:class:`~repro.errors.StreamIntegrityError` — so a fan-out branch is as
-replay-safe as the pipeline head.
+Sinks are the tail of a :class:`~repro.dataplane.pipeline.Pipeline`;
+each envelope goes to every sink in list order, and :meth:`Sink.flush`
+runs once per sink, in the same order, when the stream ends.  Every
+sink keeps its own exactly-once cursor — duplicates are skipped, gaps
+raise :class:`~repro.errors.StreamIntegrityError` — because a sink may
+outlive one pipeline: when successive pipelines feed the same sink (a
+resumed scan, or repeated passes over a file into one
+:class:`CheckpointSink`), the sink's cursor, not the new pipeline's,
+knows which sequences it has already applied.
 
 Shipped sinks:
 
@@ -17,21 +21,17 @@ Shipped sinks:
 * :class:`RegistrySink` — feed a serving
   :class:`~repro.serving.registry.SketchRegistry` stream, rotating a
   fresh queryable snapshot on flush;
-* :class:`ObserverExportSink` — export the pipeline's metrics to JSONL
-  on flush (:mod:`repro.observability.export`);
 * :class:`CollectSink` / :class:`CallbackSink` — buffer batches for
   tests, or hand each envelope to arbitrary code.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError, StreamIntegrityError
-from ..observability.export import metrics_to_records, write_jsonl
-from ..observability.observer import Observer
 from ..resilience.checkpoint import CheckpointManager
 from ..resilience.runtime import ChunkEnvelope, StreamRuntime
 
@@ -39,7 +39,6 @@ __all__ = [
     "CallbackSink",
     "CheckpointSink",
     "CollectSink",
-    "ObserverExportSink",
     "RegistrySink",
     "RuntimeSink",
     "SketcherSink",
@@ -303,48 +302,3 @@ class RegistrySink(Sink):
         """Rotate a fresh queryable snapshot."""
         self.registry.rotate(self.stream)
         self.rotations += 1
-
-
-class ObserverExportSink(Sink):
-    """Export an observer's metrics to a JSONL file on flush.
-
-    Batches only advance the cursor; at end-of-stream the observer's
-    counters/gauges/histograms — including the pipeline's own
-    ``dataplane.*`` series — are written through
-    :func:`repro.observability.export.metrics_to_records` +
-    :func:`~repro.observability.export.write_jsonl`.
-    """
-
-    name = "export"
-
-    def __init__(
-        self,
-        observer: Observer,
-        path,
-        *,
-        namespace: str = "repro",
-        start: int = 0,
-    ) -> None:
-        super().__init__(start=start)
-        self.observer = observer
-        self.path = path
-        self.namespace = namespace
-        self.exports = 0
-
-    def write(self, keys: np.ndarray, envelope: ChunkEnvelope) -> None:
-        """Nothing per batch — the cursor advance is the bookkeeping."""
-
-    def flush(self) -> None:
-        """Write the metric records out."""
-        records = metrics_to_records(self.observer, namespace=self.namespace)
-        write_jsonl(self.path, records, append=self.exports > 0)
-        self.exports += 1
-
-
-def flush_all(sinks: Iterable) -> None:
-    """Flush a collection of sinks/branches in order (shared helper)."""
-    for sink in sinks:
-        sink.flush()
-
-
-__all__.append("flush_all")

@@ -13,19 +13,18 @@ Shipped sources:
   (the generalization of :meth:`StreamRuntime.run`'s input contract);
 * :class:`FileSource` — a stream file via
   :func:`repro.streams.io.iter_chunks` (``O(1)`` resume from a cursor);
-* :class:`MicroBatchSource` — re-chunks an arbitrary iterable of keys,
-  arrays, or small batches into fixed-size envelopes;
 * :class:`SocketSource` — length-prefixed ``int64`` frames from a
-  connected socket (see :func:`send_frames` for the writer side);
-* :class:`UnionSource` — deterministic round-robin merge of several
-  sources into one resealed stream (multi-stream union).
+  connected socket (see :func:`send_frames` for the writer side).
+
+An in-memory array re-chunks through
+``IterableSource(repro.streams.iter_chunks(keys, n))``.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -37,10 +36,8 @@ __all__ = [
     "FileSource",
     "IterableSource",
     "MAX_FRAME_KEYS",
-    "MicroBatchSource",
     "SocketSource",
     "Source",
-    "UnionSource",
     "send_frames",
 ]
 
@@ -136,47 +133,6 @@ class FileSource(Source):
             sequence += 1
 
 
-class MicroBatchSource(Source):
-    """Re-chunk an arbitrary iterable into fixed-size envelopes.
-
-    Accepts a mix of scalar keys, lists, and arrays; keys are coalesced
-    into batches of exactly *batch_size* tuples (the final batch may be
-    short).  This is the adapter that turns "any Python iterable" into
-    the dataplane's envelope contract.
-    """
-
-    name = "microbatch"
-
-    def __init__(self, items: Iterable, batch_size: int, *, start: int = 0) -> None:
-        if batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-        if start < 0:
-            raise ConfigurationError(f"start must be >= 0, got {start}")
-        self.items = items
-        self.batch_size = int(batch_size)
-        self.start = int(start)
-
-    def envelopes(self) -> Iterator[ChunkEnvelope]:
-        """Yield coalesced fixed-size envelopes."""
-        sequence = self.start
-        pending: list = []
-        pending_size = 0
-        for item in self.items:
-            keys = np.atleast_1d(np.asarray(item, dtype=np.int64))
-            pending.append(keys)
-            pending_size += int(keys.size)
-            while pending_size >= self.batch_size:
-                flat = np.concatenate(pending) if len(pending) > 1 else pending[0]
-                batch, rest = flat[: self.batch_size], flat[self.batch_size :]
-                yield make_envelope(sequence, batch)
-                sequence += 1
-                pending = [rest] if rest.size else []
-                pending_size = int(rest.size)
-        if pending_size:
-            flat = np.concatenate(pending) if len(pending) > 1 else pending[0]
-            yield make_envelope(sequence, flat)
-
-
 class SocketSource(Source):
     """Read length-prefixed ``int64`` key frames from a connected socket.
 
@@ -244,40 +200,3 @@ def send_frames(conn: socket.socket, chunks: Iterable) -> int:
         conn.sendall(_FRAME_HEADER.pack(keys.size) + keys.tobytes())
         sent += int(keys.size)
     return sent
-
-
-class UnionSource(Source):
-    """Deterministic round-robin union of several sources.
-
-    Member envelopes are *resealed* with fresh sequence numbers (member
-    streams each start at 0, so their sequences collide); the visit
-    order is fixed — one envelope from each live member per round, in
-    constructor order — so a union of deterministic sources is itself
-    deterministic, which keeps multi-stream joins reproducible.
-    """
-
-    name = "union"
-
-    def __init__(self, *sources: Source, start: int = 0) -> None:
-        if not sources:
-            raise ConfigurationError("UnionSource needs at least one member")
-        if start < 0:
-            raise ConfigurationError(f"start must be >= 0, got {start}")
-        self.sources: Sequence[Source] = tuple(sources)
-        self.start = int(start)
-
-    def envelopes(self) -> Iterator[ChunkEnvelope]:
-        """Yield resealed envelopes, one per live member per round."""
-        sequence = self.start
-        iterators = [member.envelopes() for member in self.sources]
-        while iterators:
-            survivors = []
-            for iterator in iterators:
-                try:
-                    envelope = next(iterator)
-                except StopIteration:
-                    continue
-                yield make_envelope(sequence, envelope.keys)
-                sequence += 1
-                survivors.append(iterator)
-            iterators = survivors

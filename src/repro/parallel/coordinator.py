@@ -36,8 +36,8 @@ the slots with :func:`~.merge.reduce_counter_tree` (bit-identical to
 in a ``finally`` so crashes and exhausted retries never leak ``/dev/shm``
 entries.
 
-:func:`parallel_update` is the lightweight sibling used by the engine
-layer: no shedding, no checkpoints — the key stream is cut into more
+:func:`parallel_update` is the lightweight sibling for a bulk update of
+one sketch: no shedding, no checkpoints — the key stream is cut into more
 chunks than workers and the pool's task queue hands them to whichever
 worker frees up first (work-stealing, no static shard assignment), each
 chunk accumulating into its own shared counter slot.

@@ -24,6 +24,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import resource_tracker
 from typing import Callable, Iterable, Optional
 
 from ..errors import ConfigurationError
@@ -104,6 +105,11 @@ class WorkerPool:
             self._executor = self._make_executor()
 
     def _make_executor(self) -> ProcessPoolExecutor:
+        # Start this process's resource tracker before any worker forks,
+        # so workers inherit it: a worker that started its own tracker
+        # would later unlink shared-memory segments the coordinator
+        # already removed (see repro.parallel.shm).
+        resource_tracker.ensure_running()
         return ProcessPoolExecutor(
             max_workers=self._workers,
             mp_context=_pick_context(),

@@ -16,11 +16,12 @@ Lifecycle contract (tested in ``tests/parallel/test_shm.py``):
 * **workers only attach**: on Python >= 3.13 :meth:`SharedBlock.attach`
   passes ``track=False`` so the attach has no resource-tracker side
   effects at all.  Older interpreters register attached segments too,
-  but pool workers share the coordinator's tracker process (fork
-  inherits its pipe, spawn is handed the fd), so the re-registration is
-  a set-level no-op there — crucially, the attach must *not* unregister,
-  or it would erase the coordinator's own registration from the shared
-  cache;
+  but pool workers share the coordinator's tracker process
+  (:class:`~repro.parallel.pool.WorkerPool` starts it before any worker
+  forks, so fork inherits its pipe; spawn is handed the fd), so the
+  re-registration is a set-level no-op there — crucially, the attach
+  must *not* unregister, or it would erase the coordinator's own
+  registration from the shared cache;
 * ``close()`` tolerates live exported views (numpy arrays still holding
   the buffer raise :class:`BufferError` on ``memoryview.release``); the
   segment's backing file is removed by ``unlink()`` regardless, so a

@@ -262,7 +262,7 @@ def run_shard(task: ShardTask, *, injector: Optional[ChaosInjector] = None) -> S
 
 
 # ----------------------------------------------------------------------
-# Lightweight path for engine integration: no shedding, no checkpoints —
+# Lightweight path for parallel_update: no shedding, no checkpoints —
 # just "sketch these keys and hand back the counters".
 # ----------------------------------------------------------------------
 

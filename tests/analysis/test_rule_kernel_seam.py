@@ -80,6 +80,25 @@ class TestSeamRoutedPasses:
         )
         assert findings == []
 
+    def test_seam_through_package_relative_import_is_exempt(self, run_rule):
+        # ``from .. import kernels`` binds the package, not a function.
+        findings = run_rule(
+            """
+            from .. import kernels
+
+            class Sk:
+                def rebuild(self, rows):
+                    for row in rows:
+                        self._seeds[row] = row
+                    kernels.get_backend().scatter_add(
+                        self._counters, rows, self._seeds
+                    )
+            """,
+            "REP008",
+            rel_path=SKETCH_PATH,
+        )
+        assert findings == []
+
     def test_transitive_reachability_exempts(self, run_rule):
         # The seam call is two hops away through a self. method.
         findings = run_rule(

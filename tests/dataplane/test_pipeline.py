@@ -239,6 +239,32 @@ def test_shed_operator_is_not_retunable():
         Pipeline(IterableSource([]), shed, retune=shed)
 
 
+@pytest.mark.parametrize("queue_depth", [0, 2])
+def test_each_sink_is_flushed_once_per_run_in_list_order(queue_depth):
+    log = []
+
+    def recording_sink(label):
+        return CallbackSink(
+            lambda envelope: log.append((label, envelope.sequence)),
+            on_flush=lambda: log.append((label, "flush")),
+        )
+
+    labels = ("a", "b", "c")
+    chunks = _chunks(6, count=4)
+    pipeline = Pipeline(
+        IterableSource(chunks),
+        sinks=[recording_sink(label) for label in labels],
+        queue_depth=queue_depth,
+    )
+    pipeline.run()
+    deliveries = [(label, seq) for seq in range(len(chunks)) for label in labels]
+    flushes = [(label, "flush") for label in labels]
+    assert log == deliveries + flushes
+    # A replayed run delivers nothing new but still ends the stream once.
+    pipeline.run()
+    assert log == deliveries + flushes + flushes
+
+
 def test_rejects_bad_configuration():
     with pytest.raises(ConfigurationError):
         Pipeline(IterableSource([]), queue_depth=-1)

@@ -9,9 +9,7 @@ import pytest
 from repro.dataplane import (
     FileSource,
     IterableSource,
-    MicroBatchSource,
     SocketSource,
-    UnionSource,
     send_frames,
 )
 from repro.dataplane.sources import MAX_FRAME_KEYS
@@ -99,30 +97,6 @@ class TestFileSource:
             next(source.envelopes())
 
 
-class TestMicroBatchSource:
-    def test_coalesces_mixed_items_into_fixed_batches(self):
-        items = [7, [8, 9], np.asarray([10, 11, 12]), 13, np.asarray([14])]
-        envelopes = _collect(MicroBatchSource(items, 3))
-        assert [e.count for e in envelopes] == [3, 3, 2]
-        assert [e.sequence for e in envelopes] == [0, 1, 2]
-        assert np.array_equal(
-            np.concatenate([np.asarray(e.keys) for e in envelopes]),
-            np.arange(7, 15),
-        )
-
-    def test_large_array_is_split(self):
-        envelopes = _collect(MicroBatchSource([np.arange(10)], 4))
-        assert [e.count for e in envelopes] == [4, 4, 2]
-
-    def test_exact_multiple_leaves_no_tail(self):
-        envelopes = _collect(MicroBatchSource([np.arange(8)], 4))
-        assert [e.count for e in envelopes] == [4, 4]
-
-    def test_rejects_bad_batch_size(self):
-        with pytest.raises(ConfigurationError):
-            MicroBatchSource([], 0)
-
-
 class TestSocketSource:
     def test_frames_round_trip(self):
         left, right = socket.socketpair()
@@ -170,17 +144,3 @@ class TestSocketSource:
             with pytest.raises(StreamIntegrityError, match="frame limit"):
                 list(SocketSource(right).envelopes())
             assert right.recv(16) == key  # the payload was never read
-
-
-class TestUnionSource:
-    def test_round_robin_reseals_sequences(self):
-        a = IterableSource([np.asarray([1]), np.asarray([2])])
-        b = IterableSource([np.asarray([10])])
-        envelopes = _collect(UnionSource(a, b))
-        assert [e.sequence for e in envelopes] == [0, 1, 2]
-        # One envelope per live member per round, constructor order.
-        assert [int(np.asarray(e.keys)[0]) for e in envelopes] == [1, 10, 2]
-
-    def test_rejects_empty_union(self):
-        with pytest.raises(ConfigurationError):
-            UnionSource()

@@ -1,31 +1,21 @@
 """Operators and sinks: per-stage contracts (reseal, cursor, flush)."""
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.core.load_shedding import LoadShedder
 from repro.dataplane import (
-    Branch,
     CallbackSink,
     CheckpointSink,
     CollectSink,
     EngineOperator,
-    FilterOperator,
-    KeyPartitionOperator,
-    MapOperator,
-    ObserverExportSink,
     RegistrySink,
     ShedOperator,
     SketchUpdateOperator,
     SketcherSink,
-    TeeOperator,
 )
 from repro.engine import OnlineStatisticsEngine
 from repro.errors import ConfigurationError, StreamIntegrityError
-from repro.observability import Observer
-from repro.parallel.partition import shard_ids
 from repro.resilience import (
     AdaptiveSheddingSketcher,
     CheckpointManager,
@@ -43,25 +33,6 @@ def _envelope(sequence=0, n=32, seed=0):
 
 
 class TestOperators:
-    def test_filter_reseals_survivors_under_same_sequence(self):
-        envelope = _envelope(sequence=3)
-        (out,) = FilterOperator(lambda keys: keys % 2 == 0).process(envelope)
-        assert out.sequence == 3
-        survivors = verify_payload(out)
-        assert np.array_equal(
-            survivors, np.asarray(envelope.keys)[np.asarray(envelope.keys) % 2 == 0]
-        )
-
-    def test_filter_rejects_misshapen_mask(self):
-        with pytest.raises(ConfigurationError):
-            list(FilterOperator(lambda keys: keys[:2] > 0).process(_envelope()))
-
-    def test_map_rewrites_and_reseals(self):
-        envelope = _envelope(sequence=1)
-        (out,) = MapOperator(lambda keys: keys * 2).process(envelope)
-        assert out.sequence == 1
-        assert np.array_equal(verify_payload(out), np.asarray(envelope.keys) * 2)
-
     def test_shed_at_full_rate_passes_through_without_rng(self):
         envelope = _envelope()
         shed = ShedOperator(1.0, seed=11)
@@ -103,44 +74,6 @@ class TestOperators:
         (out,) = operator.process(envelope)
         assert out is envelope
         assert engine.scanned_tuples("flows") == envelope.count
-
-    def test_tee_copies_to_targets_and_forwards(self):
-        side = CollectSink()
-        tee = TeeOperator(side)
-        envelope = _envelope()
-        (out,) = tee.process(envelope)
-        assert out is envelope
-        assert np.array_equal(side.keys(), np.asarray(envelope.keys))
-        assert list(tee.flush()) == []
-
-    def test_tee_requires_a_target(self):
-        with pytest.raises(ConfigurationError):
-            TeeOperator()
-
-    def test_partition_matches_shard_ids_and_keeps_cursors_contiguous(self):
-        branches = [CollectSink(), CollectSink(), CollectSink()]
-        operator = KeyPartitionOperator(branches)
-        envelopes = [_envelope(sequence=i, seed=i, n=50) for i in range(4)]
-        for envelope in envelopes:
-            (out,) = operator.process(envelope)
-            assert out is envelope
-        operator.flush()
-        for shard, branch in enumerate(branches):
-            # Every sequence reached every branch (possibly empty) ...
-            assert branch.position == len(envelopes)
-            # ... carrying exactly the splitmix64-assigned keys.
-            expected = np.concatenate(
-                [
-                    np.asarray(e.keys)[
-                        shard_ids(np.asarray(e.keys), len(branches)) == shard
-                    ]
-                    for e in envelopes
-                ]
-            )
-            assert np.array_equal(branch.keys(), expected)
-        total = sum(int(branch.tuples) for branch in branches)
-        assert total == sum(e.count for e in envelopes)
-
 
 class TestSinkCursor:
     def test_duplicates_are_skipped(self):
@@ -220,33 +153,3 @@ class TestSinks:
         sink.flush()
         assert sink.rotations >= 1
         assert registry.self_join_query("flows").estimate > 0
-
-    def test_observer_export_sink_writes_metrics_jsonl(self, tmp_path):
-        observer = Observer()
-        observer.counter("dataplane.chunks.accepted").inc(3)
-        path = tmp_path / "metrics.jsonl"
-        sink = ObserverExportSink(observer, path)
-        sink.accept(_envelope())
-        sink.flush()
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert any(
-            record["name"].endswith("dataplane.chunks.accepted")
-            for record in records
-        )
-        sink.flush()  # second export appends instead of clobbering
-        assert len(path.read_text().splitlines()) == 2 * len(records)
-
-
-class TestBranch:
-    def test_branch_chains_operators_into_sinks(self):
-        collect = CollectSink()
-        branch = Branch(FilterOperator(lambda keys: keys > 10), sinks=[collect])
-        envelope = _envelope(n=64)
-        branch.accept(envelope)
-        branch.flush()
-        keys = np.asarray(envelope.keys)
-        assert np.array_equal(collect.keys(), keys[keys > 10])
-
-    def test_branch_needs_a_stage(self):
-        with pytest.raises(ConfigurationError):
-            Branch()

@@ -9,8 +9,12 @@ leaves an entry behind in ``/dev/shm``.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,3 +323,48 @@ def test_attached_view_destroy_never_unlinks(shm_ledger):
         again.close()
     finally:
         owner.destroy()
+
+
+# ----------------------------------------------------------------------
+# Workers share the coordinator's resource tracker
+# ----------------------------------------------------------------------
+
+#: Run in a fresh interpreter, so no earlier test has started the
+#: tracker: prints the tracker pid a forked worker sees, then the
+#: coordinator's.
+_TRACKER_SCRIPT = """
+from multiprocessing import resource_tracker
+from repro.parallel import WorkerPool
+
+def tracker_pid():
+    return resource_tracker._resource_tracker._pid
+
+with WorkerPool(1) as pool:
+    worker = pool.submit(tracker_pid).result(timeout=60)
+print(worker, resource_tracker._resource_tracker._pid)
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="WorkerPool forks only where the platform offers fork",
+)
+def test_forked_workers_share_the_coordinator_tracker():
+    """A worker with a private tracker would unlink the coordinator's
+    segments a second time when it exits."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[2] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    process = subprocess.run(
+        [sys.executable, "-c", _TRACKER_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert process.returncode == 0, process.stderr
+    worker, coordinator = process.stdout.split()
+    assert coordinator != "None"
+    assert worker == coordinator
