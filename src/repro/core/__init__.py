@@ -34,7 +34,6 @@ from .sampling_estimators import (
     sample_self_join_interval,
     sample_self_join_size,
 )
-from .windows import TumblingWindowSketcher, WindowSummary, window_join_size
 
 __all__ = [
     "sketch_over_sample",
@@ -53,9 +52,6 @@ __all__ = [
     "sample_self_join_size",
     "sample_join_interval",
     "sample_self_join_interval",
-    "TumblingWindowSketcher",
-    "WindowSummary",
-    "window_join_size",
     "HeavyHitter",
     "estimate_frequencies",
     "heavy_hitters",

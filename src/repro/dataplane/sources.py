@@ -17,7 +17,8 @@ Shipped sources:
   connected socket (see :func:`send_frames` for the writer side).
 
 An in-memory array re-chunks through
-``IterableSource(repro.streams.iter_chunks(keys, n))``.
+``IterableSource(repro.streams.iter_chunks(keys, n))``, which runs once;
+wrap the generator in ``list`` when a pipeline must replay it.
 """
 
 from __future__ import annotations
@@ -71,6 +72,14 @@ class IterableSource(Source):
     from the last envelope seen (starting at *start*) — exactly the
     contract :meth:`StreamRuntime.run` established, so recovered runs
     can mix a sealed replay prefix with a raw tail.
+
+    A re-iterable *items* (a list of chunks) replays from its first
+    chunk on every :meth:`envelopes` call, which is what a pipeline
+    re-run after a fault needs.  A one-shot iterator (a generator such
+    as :func:`repro.streams.iter_chunks`) cannot replay: numbering its
+    remainder from *start* would feed fresh chunks under old sequence
+    numbers, so a second :meth:`envelopes` call raises
+    :class:`~repro.errors.ConfigurationError` instead.
     """
 
     name = "iterable"
@@ -80,9 +89,18 @@ class IterableSource(Source):
             raise ConfigurationError(f"start must be >= 0, got {start}")
         self.items = items
         self.start = int(start)
+        self._one_shot = iter(items) is items
+        self._consumed = False
 
     def envelopes(self) -> Iterator[ChunkEnvelope]:
         """Yield sealed envelopes, numbering raw chunks sequentially."""
+        if self._one_shot:
+            if self._consumed:
+                raise ConfigurationError(
+                    "IterableSource over a one-shot iterator cannot replay "
+                    "its stream; pass a list of chunks or a FileSource"
+                )
+            self._consumed = True
         sequence = self.start
         for item in self.items:
             if isinstance(item, ChunkEnvelope):

@@ -26,7 +26,6 @@ from .families import (
     PolynomialHashFamily,
 )
 from .signs import EH3SignFamily, FourWiseSignFamily, SignFamily
-from .tabulation import TabulationHashFamily, TabulationSignFamily
 
 __all__ = [
     "MERSENNE_P31",
@@ -36,6 +35,4 @@ __all__ = [
     "SignFamily",
     "FourWiseSignFamily",
     "EH3SignFamily",
-    "TabulationHashFamily",
-    "TabulationSignFamily",
 ]

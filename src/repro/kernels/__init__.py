@@ -66,13 +66,7 @@ from .backend import (
     use_backend,
 )
 from .fused import FusedEntry, FusedPlan, fused_update, make_fused_plan
-from .native import (
-    NativeKernelBackend,
-    native_available,
-    native_openmp,
-    native_threads,
-    set_native_threads,
-)
+from .native import NativeKernelBackend, native_available
 from .numpy_backend import NumpyKernelBackend
 from .reference import ReferenceKernelBackend
 
@@ -90,10 +84,7 @@ __all__ = [
     "get_backend",
     "make_fused_plan",
     "native_available",
-    "native_openmp",
-    "native_threads",
     "register_backend",
     "set_backend",
-    "set_native_threads",
     "use_backend",
 ]

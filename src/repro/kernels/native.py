@@ -29,15 +29,6 @@ storage invalidates every plan built before it, which is why a sketch
 drops its cached plan when it adopts new storage and never pickles or
 copies it.
 
-Threading: every row loop (hashing, scatter, fused) carries an OpenMP
-``parallel for`` over rows.  Rows write disjoint output slices and each
-row's accumulation stays in stream order, so results are **bit-identical
-for any thread count** — threading is purely a throughput knob, default
-1 (set via :func:`set_native_threads` or ``REPRO_NATIVE_THREADS``).
-The build tries ``-fopenmp`` and falls back to a single-threaded compile
-when the toolchain lacks it, mirroring the no-compiler fallback below:
-:func:`native_openmp` reports what the loaded library supports.
-
 The library is built lazily, at most once per process, from the C source
 embedded below: the source is written to a private temporary directory
 and compiled with the system C compiler (``$CC`` or ``cc``) into a
@@ -57,7 +48,7 @@ element in stream order — the same order as the reference backend's
 *any* weights, not just integer-valued ones.
 
 Only the polynomial (fourwise/bucket) hashing primitives are compiled;
-EH3 and tabulation sign families keep their vectorized numpy paths,
+the EH3 sign family keeps its vectorized numpy path,
 which this backend inherits from :class:`NumpyKernelBackend` (the fused
 path falls back to the replayed primitives for such entries).
 """
@@ -82,43 +73,12 @@ __all__ = [
     "NativeKernelBackend",
     "native_available",
     "native_build_error",
-    "native_openmp",
-    "native_threads",
-    "set_native_threads",
 ]
-
-#: Worker threads for the native row loops (default 1; results are
-#: bit-identical for any value — see :func:`set_native_threads`).
-THREADS_ENV_VAR = "REPRO_NATIVE_THREADS"
 
 _C_SOURCE = r"""
 #include <stdint.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #define P31 2147483647ULL /* the Mersenne prime 2^31 - 1 */
-
-/* Worker-thread count for the row loops.  Rows write disjoint output
- * slices and each row's accumulation keeps stream order, so any value
- * here produces bit-identical results; 1 (the default) skips the
- * OpenMP runtime entirely via the if() clauses below. */
-static int64_t repro_threads = 1;
-
-void repro_set_threads(int64_t threads) {
-    repro_threads = threads < 1 ? 1 : threads;
-}
-
-int64_t repro_get_threads(void) { return repro_threads; }
-
-int64_t repro_openmp_compiled(void) {
-#ifdef _OPENMP
-    return 1;
-#else
-    return 0;
-#endif
-}
 
 /* One lazy fold: congruent mod P31 (2^31 = 1 mod P31), shrinks the value. */
 static inline uint64_t fold31(uint64_t v) {
@@ -209,8 +169,6 @@ static inline const uint64_t *load_keys(const void *keys, int64_t kwidth,
 
 void repro_poly_mod_p(const uint64_t *coeffs, int64_t rows, int64_t k,
                       const uint64_t *keys, int64_t n, uint64_t *out) {
-#pragma omp parallel for schedule(static) num_threads((int)repro_threads) \
-    if (repro_threads > 1)
     for (int64_t r = 0; r < rows; r++) {
         poly_block(coeffs + r * k, k, keys, n, out + r * n);
     }
@@ -226,8 +184,6 @@ void repro_bucket_indices(const uint64_t *coeffs, int64_t rows, int64_t k,
      * h % b == (uint64)(((__uint128_t)(h * M) * b) >> 64)
      * with M = 2^64 / b rounded up.  Both operands are < 2^31. */
     uint64_t M = UINT64_MAX / b + 1;
-#pragma omp parallel for schedule(static) num_threads((int)repro_threads) \
-    if (repro_threads > 1)
     for (int64_t r = 0; r < rows; r++) {
         const uint64_t *c = coeffs + r * k;
         int64_t *o = out + r * n;
@@ -251,8 +207,6 @@ void repro_bucket_indices(const uint64_t *coeffs, int64_t rows, int64_t k,
 
 void repro_parity_signs(const uint64_t *coeffs, int64_t rows, int64_t k,
                         const uint64_t *keys, int64_t n, int8_t *out) {
-#pragma omp parallel for schedule(static) num_threads((int)repro_threads) \
-    if (repro_threads > 1)
     for (int64_t r = 0; r < rows; r++) {
         const uint64_t *c = coeffs + r * k;
         int8_t *o = out + r * n;
@@ -269,8 +223,6 @@ void repro_parity_signs(const uint64_t *coeffs, int64_t rows, int64_t k,
 
 void repro_scatter(double *counters, int64_t rows, int64_t buckets,
                    const int64_t *indices, int64_t n, const double *weights) {
-#pragma omp parallel for schedule(static) num_threads((int)repro_threads) \
-    if (repro_threads > 1)
     for (int64_t r = 0; r < rows; r++) {
         double *c = counters + r * buckets;
         const int64_t *idx = indices + r * n;
@@ -286,8 +238,6 @@ void repro_scatter(double *counters, int64_t rows, int64_t buckets,
 void repro_signed_scatter(double *counters, int64_t rows, int64_t buckets,
                           const int64_t *indices, const int8_t *signs,
                           int64_t n, const double *weights) {
-#pragma omp parallel for schedule(static) num_threads((int)repro_threads) \
-    if (repro_threads > 1)
     for (int64_t r = 0; r < rows; r++) {
         double *c = counters + r * buckets;
         const int64_t *idx = indices + r * n;
@@ -314,8 +264,6 @@ void repro_signed_scatter(double *counters, int64_t rows, int64_t buckets,
  * counter matches the separate sign_sum path bit for bit. */
 void repro_fused_agms(const uint64_t *coeffs, int64_t rows, const void *keys,
                       int64_t kwidth, int64_t n, int64_t *rowsums) {
-#pragma omp parallel for schedule(static) num_threads((int)repro_threads) \
-    if (repro_threads > 1)
     for (int64_t r = 0; r < rows; r++) {
         const uint64_t *c = coeffs + 4 * r;
         uint64_t kbuf[BLOCK];
@@ -341,8 +289,6 @@ void repro_fused_signed(const uint64_t *bcoeffs, const uint64_t *scoeffs,
     int pow2 = (b & (b - 1)) == 0;
     uint64_t mask = b - 1;
     uint64_t M = UINT64_MAX / b + 1;
-#pragma omp parallel for schedule(static) num_threads((int)repro_threads) \
-    if (repro_threads > 1)
     for (int64_t r = 0; r < rows; r++) {
         const uint64_t *bc = bcoeffs + 2 * r;
         const uint64_t *sc = scoeffs + 4 * r;
@@ -387,8 +333,6 @@ void repro_fused_unsigned(const uint64_t *bcoeffs, int64_t rows,
     int pow2 = (b & (b - 1)) == 0;
     uint64_t mask = b - 1;
     uint64_t M = UINT64_MAX / b + 1;
-#pragma omp parallel for schedule(static) num_threads((int)repro_threads) \
-    if (repro_threads > 1)
     for (int64_t r = 0; r < rows; r++) {
         const uint64_t *bc = bcoeffs + 2 * r;
         double *c = counters + r * buckets;
@@ -460,12 +404,6 @@ def _declare(lib: ctypes.CDLL) -> None:
         _U64P, c_int64, c_void_p, c_int64, c_int64, c_int64, _F64P, c_void_p,
     ]
     lib.repro_fused_unsigned.restype = None
-    lib.repro_set_threads.argtypes = [c_int64]
-    lib.repro_set_threads.restype = None
-    lib.repro_get_threads.argtypes = []
-    lib.repro_get_threads.restype = c_int64
-    lib.repro_openmp_compiled.argtypes = []
-    lib.repro_openmp_compiled.restype = c_int64
 
 
 def _build() -> ctypes.CDLL:
@@ -477,16 +415,10 @@ def _build() -> ctypes.CDLL:
     compiler = os.environ.get("CC", "cc")
     base = [compiler, "-O3", "-fPIC", "-shared", "-o", str(shared), str(source)]
     # -march=native lets the compiler vectorize the straight-line Horner
-    # loops (8-wide 64-bit multiplies with AVX-512DQ); -fopenmp enables
-    # the threaded row loops.  Drop each in turn when the local toolchain
-    # rejects it — the single-threaded portable compile is the floor.
+    # loops (8-wide 64-bit multiplies with AVX-512DQ); drop it when the
+    # local toolchain rejects it — the portable compile is the floor.
     proc = None
-    for extra in (
-        ["-march=native", "-fopenmp"],
-        ["-march=native"],
-        ["-fopenmp"],
-        [],
-    ):
+    for extra in (["-march=native"], []):
         proc = subprocess.run(
             base[:1] + extra + base[1:], capture_output=True, text=True
         )
@@ -497,14 +429,6 @@ def _build() -> ctypes.CDLL:
         raise OSError(f"{' '.join(base)} failed: {detail}")
     lib = ctypes.CDLL(str(shared))
     _declare(lib)
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw:
-        try:
-            lib.repro_set_threads(int(raw))
-        except ValueError:
-            raise OSError(
-                f"{THREADS_ENV_VAR}={raw!r} is not an integer"
-            ) from None
     return lib
 
 
@@ -539,36 +463,6 @@ def native_build_error() -> Optional[str]:
     except ConfigurationError:
         return _build_error
     return None
-
-
-def native_openmp() -> bool:
-    """Whether the loaded library was compiled with OpenMP support."""
-    return bool(_library().repro_openmp_compiled())
-
-
-def set_native_threads(threads: int) -> int:
-    """Set the worker-thread count for the native row loops.
-
-    Returns the *effective* count: libraries compiled without OpenMP
-    (toolchain lacks ``-fopenmp``) always run single-threaded, so the
-    call is accepted but reports 1.  Any value is bit-identity-safe —
-    rows write disjoint slices in stream order — so this is purely a
-    throughput knob.  The default is 1; ``REPRO_NATIVE_THREADS`` seeds
-    it at first library load.
-    """
-    if threads < 1:
-        raise ConfigurationError(f"threads must be >= 1, got {threads}")
-    lib = _library()
-    lib.repro_set_threads(threads)
-    return native_threads()
-
-
-def native_threads() -> int:
-    """The effective native thread count (1 without OpenMP support)."""
-    lib = _library()
-    if not lib.repro_openmp_compiled():
-        return 1
-    return int(lib.repro_get_threads())
 
 
 def _u64(array: np.ndarray):
@@ -635,7 +529,7 @@ class NativeKernelBackend(NumpyKernelBackend):
     """Compiled single-pass hashing, scatter, and fused-update primitives.
 
     Inherits the numpy implementations for everything it does not
-    accelerate (gather, AGMS sign reductions, EH3/tabulation families).
+    accelerate (gather, AGMS sign reductions, the EH3 family).
     Activate with ``set_backend("native")`` or
     ``REPRO_KERNEL_BACKEND=native``; activation raises
     :class:`~repro.errors.ConfigurationError` when no C compiler is

@@ -23,7 +23,6 @@ from .arrival import (
     sustainable_rate,
 )
 from .base import Relation, iter_chunks
-from .drift import drifting_stream, mixture_relation, shifted_zipf_relation
 from .io import (
     read_stream,
     stream_domain_size,
@@ -60,7 +59,4 @@ __all__ = [
     "SimulationResult",
     "simulate_backlog",
     "sustainable_rate",
-    "shifted_zipf_relation",
-    "mixture_relation",
-    "drifting_stream",
 ]

@@ -7,14 +7,18 @@ import numpy as np
 import pytest
 
 from repro.dataplane import (
+    CallbackSink,
+    CollectSink,
     FileSource,
     IterableSource,
+    Pipeline,
     SocketSource,
     send_frames,
 )
 from repro.dataplane.sources import MAX_FRAME_KEYS
 from repro.errors import ConfigurationError, StreamIntegrityError
 from repro.resilience import make_envelope, verify_payload
+from repro.streams import iter_chunks
 from repro.streams.io import write_stream
 
 
@@ -51,6 +55,35 @@ class TestIterableSource:
     def test_rejects_negative_start(self):
         with pytest.raises(ConfigurationError):
             IterableSource([], start=-1)
+
+    @pytest.mark.parametrize("one_shot", [False, True], ids=["list", "generator"])
+    def test_rerun_after_a_fault_replays_a_list_and_rejects_a_generator(
+        self, one_shot
+    ):
+        chunks = iter_chunks(np.arange(100), 10)
+        failed = []
+
+        def fail_once_on_chunk_3(envelope):
+            if envelope.sequence == 3 and not failed:
+                failed.append(envelope.sequence)
+                raise RuntimeError("sink fault")
+
+        collect = CollectSink()
+        pipeline = Pipeline(
+            IterableSource(chunks if one_shot else list(chunks)),
+            sinks=[CallbackSink(fail_once_on_chunk_3), collect],
+            queue_depth=0,
+        )
+        with pytest.raises(RuntimeError, match="sink fault"):
+            pipeline.run()
+        if one_shot:
+            # The generator's chunks 0-3 are spent; renumbering the rest
+            # from 0 would skip fresh chunks as duplicates.
+            with pytest.raises(ConfigurationError, match="one-shot"):
+                pipeline.run()
+        else:
+            pipeline.run()
+            assert np.array_equal(collect.keys(), np.arange(100))
 
 
 class TestFileSource:

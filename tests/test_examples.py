@@ -77,6 +77,15 @@ def test_distributed_sketching(capsys):
 def test_traffic_drift_monitor(capsys):
     out = _run("traffic_drift_monitor", capsys)
     assert "DRIFT" in out
+    # One table row per window, led by its right-aligned index.
+    rows = {
+        int(line.split()[0]): line
+        for line in out.splitlines()
+        if line[:6].strip().isdigit()
+    }
+    assert sorted(rows) == list(range(6))
+    flagged = [index for index, line in rows.items() if "<< DRIFT" in line]
+    assert flagged == [4, 5]
 
 
 @pytest.mark.slow

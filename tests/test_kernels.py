@@ -16,7 +16,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.hashing.families import BucketHashFamily, PolynomialHashFamily
 from repro.hashing.signs import EH3SignFamily, FourWiseSignFamily
-from repro.hashing.tabulation import TabulationHashFamily, TabulationSignFamily
 from repro.kernels import (
     BACKEND_ENV_VAR,
     available_backends,
@@ -78,9 +77,7 @@ def test_bucket_evaluate_all_matches_rows(backend, buckets):
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
-@pytest.mark.parametrize(
-    "family_cls", [FourWiseSignFamily, EH3SignFamily, TabulationSignFamily]
-)
+@pytest.mark.parametrize("family_cls", [FourWiseSignFamily, EH3SignFamily])
 def test_sign_evaluate_all_matches_rows(backend, family_cls):
     family = family_cls(rows=5, seed=42)
     keys = _keys(199, seed=3)
@@ -90,14 +87,6 @@ def test_sign_evaluate_all_matches_rows(backend, family_cls):
     assert batched.dtype == np.int8
     assert np.array_equal(batched, stacked)
     assert set(np.unique(batched)) <= {-1, 1}
-
-
-def test_tabulation_hash_evaluate_all_matches_rows():
-    family = TabulationHashFamily(rows=3, seed=9)
-    keys = _keys(128, seed=4)
-    batched = family.evaluate_all(keys)
-    stacked = np.stack([family.evaluate_row(r, keys) for r in range(3)])
-    assert np.array_equal(batched, stacked)
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)

@@ -122,15 +122,6 @@ class TestMersenneConstants:
         assert MERSENNE_P61 == 2**61 - 1
 
 
-class TestWindowProcessEmptyChunk:
-    def test_empty_chunk_is_noop(self):
-        from repro.core.windows import TumblingWindowSketcher
-
-        sketcher = TumblingWindowSketcher(10, buckets=8, seed=4)
-        assert sketcher.process(np.array([], dtype=np.int64)) == []
-        assert sketcher.current_fill == 0
-
-
 class TestStatisticsEngineSeedSharing:
     def test_cross_relation_sketches_share_families(self):
         from repro.engine import OnlineStatisticsEngine
