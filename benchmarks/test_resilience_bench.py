@@ -105,7 +105,6 @@ def test_resilience_baseline(save_result, save_bench):
                 "seconds": round(seconds, 4),
                 "recovery_overhead": round(seconds / base_seconds, 3),
                 "retries": result.retries,
-                "hedges": result.hedges,
                 "shards": SHARDS,
             }
         )

@@ -407,27 +407,33 @@ def _declare(lib: ctypes.CDLL) -> None:
 
 
 def _build() -> ctypes.CDLL:
-    """Compile the embedded C source into a private temp dir and load it."""
-    build_dir = Path(tempfile.mkdtemp(prefix="repro-kernels-"))
-    source = build_dir / "repro_kernels.c"
-    source.write_text(_C_SOURCE)
-    shared = build_dir / "repro_kernels.so"
-    compiler = os.environ.get("CC", "cc")
-    base = [compiler, "-O3", "-fPIC", "-shared", "-o", str(shared), str(source)]
-    # -march=native lets the compiler vectorize the straight-line Horner
-    # loops (8-wide 64-bit multiplies with AVX-512DQ); drop it when the
-    # local toolchain rejects it — the portable compile is the floor.
-    proc = None
-    for extra in (["-march=native"], []):
-        proc = subprocess.run(
-            base[:1] + extra + base[1:], capture_output=True, text=True
-        )
-        if proc.returncode == 0:
-            break
-    if proc is None or proc.returncode != 0:
-        detail = proc.stderr.strip() or proc.stdout.strip() or "no diagnostics"
-        raise OSError(f"{' '.join(base)} failed: {detail}")
-    lib = ctypes.CDLL(str(shared))
+    """Compile the embedded C source in a private temp dir and load it.
+
+    The directory is removed once the library is loaded (a loaded shared
+    object stays mapped after its file is unlinked), and after a failed
+    build too, so no build leaves files behind.
+    """
+    with tempfile.TemporaryDirectory(prefix="repro-kernels-") as build_dir:
+        source = Path(build_dir) / "repro_kernels.c"
+        source.write_text(_C_SOURCE)
+        shared = Path(build_dir) / "repro_kernels.so"
+        compiler = os.environ.get("CC", "cc")
+        base = [compiler, "-O3", "-fPIC", "-shared", "-o", str(shared), str(source)]
+        # -march=native lets the compiler vectorize the straight-line
+        # Horner loops (8-wide 64-bit multiplies with AVX-512DQ); drop it
+        # when the local toolchain rejects it — the portable compile is
+        # the floor.
+        proc = None
+        for extra in (["-march=native"], []):
+            proc = subprocess.run(
+                base[:1] + extra + base[1:], capture_output=True, text=True
+            )
+            if proc.returncode == 0:
+                break
+        if proc is None or proc.returncode != 0:
+            detail = proc.stderr.strip() or proc.stdout.strip() or "no diagnostics"
+            raise OSError(f"{' '.join(base)} failed: {detail}")
+        lib = ctypes.CDLL(str(shared))
     _declare(lib)
     return lib
 

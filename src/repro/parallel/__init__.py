@@ -16,9 +16,9 @@ engine:
    instead of the pickle pipe whenever a process boundary is crossed.
 4. :mod:`.worker` executes one shard per task on the resilient
    :class:`~repro.resilience.runtime.StreamRuntime` — per-shard Bernoulli
-   shedding with independently spawned seed substreams, per-shard
-   checkpoints, resume-on-retry — writing counters straight into the
-   shard's shared slot.
+   shedding with independently spawned seed substreams (a retried shard
+   runs again from its first chunk, bit-identically) — writing counters
+   straight into the shard's shared slot.
 5. :mod:`.merge` reduces the per-shard sketches in a fixed-order balanced
    merge tree (:func:`~.merge.merge_tree`, or its bit-identical
    array-level twin :func:`~.merge.reduce_counter_tree` over shared

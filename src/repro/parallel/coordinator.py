@@ -5,9 +5,9 @@ engine.  It partitions the key stream deterministically
 (:mod:`.partition`), spawns one independent seed substream per shard from
 the root seed (``SeedSequence.spawn`` — reproducible no matter which
 process executes which shard), dispatches :class:`~.worker.ShardTask`\\ s
-over a :class:`~.pool.WorkerPool`, retries failed shards (resuming from
-their per-shard checkpoints when checkpointing is on), reduces the
-per-shard sketches through the fixed-order :func:`~.merge.merge_tree`,
+over a :class:`~.pool.WorkerPool`, runs a failed shard again from its
+first chunk, reduces the per-shard sketches through the fixed-order
+:func:`~.merge.merge_tree`,
 and aggregates the per-shard :class:`~repro.sampling.base.SampleInfo`
 ledgers for the combined-estimator correction.
 
@@ -58,8 +58,8 @@ from ..observability.observer import (
     ObserverSnapshot,
     as_observer,
 )
-from ..resilience.distributed import BackoffPolicy, ShardSupervisor
 from ..resilience.distributed import (
+    ShardSupervisor,
     widened_join_variance,
     widened_self_join_variance,
 )
@@ -97,7 +97,6 @@ class ShardedScanResult:
     plan: ShardPlan
     header: dict
     retries: int
-    hedges: int = 0
 
     # ------------------------------------------------------------------
     # Sampling ledger
@@ -403,17 +402,11 @@ def run_sharded_sketch(
     seed: SeedLike = None,
     pool: Optional[WorkerPool] = None,
     chunk_size: int = 4096,
-    checkpoint_dir=None,
-    checkpoint_every: int = 16,
     max_retries: int = 2,
-    injector=None,
     observer: Optional[Observer] = None,
     shared_memory: Optional[bool] = None,
     deadline: Optional[float] = None,
-    hedge_after: Optional[float] = None,
-    max_hedges: int = 1,
     degradation: str = "fail",
-    backoff: Optional[BackoffPolicy] = None,
     poll_interval: float = 0.005,
     _worker=run_shard,
 ) -> ShardedScanResult:
@@ -438,17 +431,11 @@ def run_sharded_sketch(
         independently spawned substream of it.
     pool:
         A :class:`~.pool.WorkerPool`; ``None`` runs shards inline.
-    checkpoint_dir, checkpoint_every:
-        When set, every shard checkpoints under
-        ``<checkpoint_dir>/shard-NNN`` and failed shards resume from
-        their newest snapshot instead of restarting.
     max_retries:
         Re-dispatch attempts per shard before giving up with
-        :class:`~repro.errors.RetryExhaustedError`.
-    injector:
-        Test-only :class:`~repro.resilience.chaos.ChaosInjector` threaded
-        into every shard run; requires an inline pool (the injector's
-        fault budget must be shared across retries).
+        :class:`~repro.errors.RetryExhaustedError`.  A retry runs the
+        shard again from its first chunk, with its shedder rebuilt from
+        the shard's spawned seed, so it returns the same counters.
     observer:
         Optional :class:`~repro.observability.Observer`.  The coordinator
         opens a ``parallel.scan`` root span, ships its context to every
@@ -464,24 +451,18 @@ def run_sharded_sketch(
     deadline:
         Seconds a dispatch may go without progress (heartbeat ticks over
         a process pool, wall clock otherwise) before the supervisor
-        abandons it as hung and retries; consumes a retry attempt.
-    hedge_after, max_hedges:
-        Straggler hedging: after *hedge_after* seconds without a result
-        the supervisor launches a duplicate dispatch (up to *max_hedges*
-        per shard); first result wins, the loser is cancelled.  Shard
-        work is deterministic, so hedging can never change a bit.
+        abandons it as hung and retries; consumes a retry attempt.  A
+        running task cannot be cancelled, so when an abandoned dispatch
+        is still running once the shards are settled, the pool's worker
+        processes are recycled (:meth:`~.pool.WorkerPool.recycle`).
     degradation:
         ``"fail"`` (default) raises
         :class:`~repro.errors.RetryExhaustedError` when a shard exhausts
         its retries; ``"degrade"`` (hash mode only) records the loss and
         returns a :class:`DegradedScanResult` built from the surviving
         shards, with estimates corrected for the lost key fraction.
-    backoff:
-        A shared :class:`~repro.resilience.distributed.BackoffPolicy`
-        spacing retries (per-shard schedules spawned from its seed).
-        ``None`` retries immediately, as the engine always has.
     poll_interval:
-        Supervisor polling cadence while deadlines/hedges are armed.
+        Supervisor polling cadence while a deadline is armed.
     """
     obs = as_observer(observer)
     shards = _default_shards(shards, pool)
@@ -511,28 +492,32 @@ def run_sharded_sketch(
         owns_pool = pool is None
         if owns_pool:
             pool = WorkerPool(0)
-        if injector is not None and not pool.inline:
-            raise ConfigurationError(
-                "a chaos injector shares mutable fault budgets with the "
-                "coordinator and therefore needs an inline pool (workers=0)"
-            )
         use_shm = _use_shared_memory(shared_memory, pool)
-        supervised = deadline is not None or hedge_after is not None
+        supervised = deadline is not None
         key_block = counter_block = heartbeat_block = None
         key_ranges = []
-        # Exclusive dispatches (hedges; retries after a deadline
-        # abandonment) may race a predecessor that is still writing, so
-        # they bind spare counter slots past the per-shard ones.  A spare
-        # slot is never reused within a run; when they run out the
-        # dispatch falls back to piping its counters.
+        # Exclusive dispatches (retries after a deadline abandonment) may
+        # race a predecessor that is still writing, so they bind spare
+        # counter slots past the per-shard ones.  A spare slot is never
+        # reused within a run; when they run out the dispatch falls back
+        # to piping its counters.
         spare_slots: list = []
-        heartbeat_slots: list = []
+        dispatched: list = []
 
-        def make_task(
-            index: int, attempt: int, resume: bool, slot, heartbeat_slot: int
-        ) -> ShardTask:
+        def dispatch(index: int, attempt: int, exclusive: bool) -> _DispatchHandle:
+            slot = None
+            if use_shm:
+                if not exclusive:
+                    slot = index
+                elif spare_slots:
+                    slot = spare_slots.pop(0)
+            # A shard dispatches at most 1 + max_retries times, so every
+            # (shard, attempt) owns one heartbeat slot.
+            beat = -1
+            if heartbeat_block is not None:
+                beat = index * (1 + max_retries) + attempt
             child = seeds[index]
-            return ShardTask(
+            task = ShardTask(
                 index=index,
                 keys=None if use_shm else plan.parts[index],
                 header=header,
@@ -540,9 +525,6 @@ def run_sharded_sketch(
                 seed_entropy=child.entropy,
                 seed_spawn_key=tuple(child.spawn_key),
                 chunk_size=chunk_size,
-                checkpoint_dir=None if checkpoint_dir is None else str(checkpoint_dir),
-                checkpoint_every=checkpoint_every,
-                resume=resume,
                 # Process workers are backend-pinned by the pool initializer;
                 # inline runs use the coordinator's active backend as-is.
                 backend=None,
@@ -556,42 +538,19 @@ def run_sharded_sketch(
                 ),
                 attempt=attempt,
                 shm_slot=-1 if slot is None else int(slot),
-                shm_heartbeat=(
-                    () if heartbeat_block is None or heartbeat_slot < 0
-                    else heartbeat_block.descriptor
-                ),
-                heartbeat_slot=heartbeat_slot,
+                shm_heartbeat=() if beat < 0 else heartbeat_block.descriptor,
+                heartbeat_slot=beat,
             )
-
-        def dispatch(
-            index: int, attempt: int, resume: bool, exclusive: bool
-        ) -> _DispatchHandle:
-            slot = None
-            if use_shm:
-                if not exclusive:
-                    slot = index
-                elif spare_slots:
-                    slot = spare_slots.pop(0)
-            heartbeat_slot = heartbeat_slots.pop(0) if heartbeat_slots else -1
-            task = make_task(index, attempt, resume, slot, heartbeat_slot)
-            if injector is not None:
-                future = pool.submit(_worker, task, injector=injector)
-            else:
-                future = pool.submit(_worker, task)
             progress = None
-            if heartbeat_block is not None and heartbeat_slot >= 0:
-                progress = partial(
-                    _read_heartbeat, heartbeat_block.array, heartbeat_slot
-                )
-            return _DispatchHandle(future, progress, slot)
+            if beat >= 0:
+                progress = partial(_read_heartbeat, heartbeat_block.array, beat)
+            handle = _DispatchHandle(pool.submit(_worker, task), progress, slot)
+            dispatched.append(handle)
+            return handle
 
         try:
             if use_shm:
-                spares = (
-                    min(8, plan.shards * (max_hedges + max_retries))
-                    if supervised
-                    else 0
-                )
+                spares = min(8, plan.shards * max_retries) if supervised else 0
                 with obs.span("parallel.shm.setup", shards=plan.shards):
                     key_block, key_ranges = _shared_key_block(plan.parts)
                     state_shape = template._state().shape
@@ -601,9 +560,9 @@ def run_sharded_sketch(
                 spare_slots = list(range(plan.shards, plan.shards + spares))
                 segments = [key_block, counter_block]
                 if supervised and not pool.inline:
-                    capacity = plan.shards * (1 + max_retries + max_hedges)
-                    heartbeat_block = SharedBlock.create((capacity,), np.int64)
-                    heartbeat_slots = list(range(capacity))
+                    heartbeat_block = SharedBlock.create(
+                        (plan.shards * (1 + max_retries),), np.int64
+                    )
                     segments.append(heartbeat_block)
                 obs.counter("parallel.shm.segments").inc(len(segments))
                 obs.counter("parallel.shm.bytes").inc(
@@ -613,11 +572,7 @@ def run_sharded_sketch(
                 plan.shards,
                 max_retries=max_retries,
                 deadline=deadline,
-                hedge_after=hedge_after,
-                max_hedges=max_hedges,
                 degradation=degradation,
-                backoff=backoff,
-                resume_retries=checkpoint_dir is not None,
                 poll_interval=poll_interval,
                 observer=obs,
             )
@@ -649,6 +604,12 @@ def run_sharded_sketch(
                     np.stack([result.counters for result in ordered])
                 )
         finally:
+            # A dispatch abandoned at its deadline (or still in flight when
+            # a shard exhausted its retries) keeps running: a running task
+            # cannot be cancelled, and it would hold its worker, and any
+            # later close() of the pool, until it ends.
+            if any(not handle.future.done() for handle in dispatched):
+                pool.recycle()
             if owns_pool:
                 pool.close()
             for block in (key_block, counter_block, heartbeat_block):
@@ -662,7 +623,6 @@ def run_sharded_sketch(
             plan=plan,
             header=header,
             retries=outcome.retries,
-            hedges=outcome.hedges,
             lost_shards=lost,
             failures=tuple(outcome.lost[index] for index in lost),
         )
@@ -672,7 +632,6 @@ def run_sharded_sketch(
         plan=plan,
         header=header,
         retries=outcome.retries,
-        hedges=outcome.hedges,
     )
 
 

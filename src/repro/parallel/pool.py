@@ -136,8 +136,14 @@ class WorkerPool:
 
     @property
     def revivals(self) -> int:
-        """Times a crashed (``BrokenProcessPool``) executor was replaced."""
+        """Times the executor was replaced: after a crash
+        (``BrokenProcessPool``) or by :meth:`recycle`."""
         return self._revivals
+
+    def _replace_executor(self) -> None:
+        self._executor.shutdown(wait=False)
+        self._executor = self._make_executor()
+        self._revivals += 1
 
     def submit(self, fn: Callable, *args, **kwargs):
         """Schedule ``fn(*args, **kwargs)``; returns a Future-like handle.
@@ -154,10 +160,25 @@ class WorkerPool:
         try:
             return self._executor.submit(fn, *args, **kwargs)
         except BrokenProcessPool:
-            self._executor.shutdown(wait=False)
-            self._executor = self._make_executor()
-            self._revivals += 1
+            self._replace_executor()
             return self._executor.submit(fn, *args, **kwargs)
+
+    def recycle(self) -> None:
+        """Kill every worker process and start a fresh executor.
+
+        A task that is already running cannot be cancelled, and
+        :meth:`close` waits for it, so a hung task abandoned by its caller
+        would hold the pool until it ends.  Its futures fail with
+        ``BrokenProcessPool``.  Inline pools have nothing to kill.
+        """
+        if self._executor is None:
+            return
+        # Python before 3.14 has no public way to stop a running task
+        # (3.14 adds ProcessPoolExecutor.kill()), so reach the workers
+        # through the executor's private pid -> Process map.
+        for process in list((self._executor._processes or {}).values()):
+            process.kill()
+        self._replace_executor()
 
     def map(self, fn: Callable, items: Iterable) -> list:
         """Apply *fn* to every item, preserving input order in the result."""

@@ -4,18 +4,12 @@ A shard travels to its worker as a :class:`ShardTask` — plain data only
 (key array, serialized sketch header, rate, and the *spawned* seed-sequence
 coordinates for this shard's shedder), so the task pickles cheaply and the
 worker reconstructs everything deterministically.  The worker drives a
-:class:`~repro.resilience.runtime.StreamRuntime` over the shard's chunks,
-inheriting the whole resilience stack for free:
-
-* each shard checkpoints through its own
-  :class:`~repro.resilience.checkpoint.CheckpointManager` under
-  ``<checkpoint_dir>/shard-NNN``;
-* a killed worker is re-run with ``resume=True`` and recovers from its
-  newest snapshot, replaying the shard from the start — already-applied
-  chunks are skipped by sequence number, so the resumed counters are
-  bit-identical to an uninterrupted shard run;
-* the chaos harness (:mod:`repro.resilience.chaos`) plugs straight in for
-  kill-a-worker tests.
+:class:`~repro.resilience.runtime.StreamRuntime` over the shard's chunks
+(envelope sealing, CRC checks, per-chunk shedding).  A shard's result
+depends only on its keys and its seed, so a killed worker's shard simply
+runs again from its first chunk and returns the same counters, bit for
+bit; the chaos harness (:class:`~repro.resilience.chaos.ChaosShardWorker`)
+wraps :func:`run_shard` to test exactly that.
 
 Results travel back as a :class:`ShardResult` — counters plus the shard's
 sample accounting (seen/kept/rate), which the coordinator aggregates into
@@ -33,22 +27,19 @@ storage *directly at the slot* (:meth:`~repro.sketches.base.Sketch._bind_state`)
 sketches in place, and returns a :class:`ShardResult` with
 ``counters=None`` — neither the keys nor the counters ever pass through
 the multiprocessing pipe.  Retried shards re-bind the slot, overwriting
-whatever a crashed attempt left there, so resume stays bit-identical.
+whatever a crashed attempt left there, so a retry stays bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from ..errors import CheckpointError, ConfigurationError
 from ..kernels import set_backend
 from ..observability.metrics import MetricsSnapshot
-from ..observability.observer import Observer, as_observer, worker_observer
-from ..resilience.chaos import ChaosInjector
+from ..observability.observer import as_observer, worker_observer
 from ..resilience.runtime import StreamRuntime, envelope_stream
 from ..sampling.base import SampleInfo
 from ..sketches.serialization import build_sketch
@@ -79,12 +70,12 @@ class ShardTask:
     ``shm_keys``/``keys_range``/``shm_counters`` are the plain
     :attr:`~.shm.SharedBlock.descriptor` tuples locating the shard's
     input slice and output counter slot.  ``shm_slot`` overrides the
-    output slot for *exclusive* dispatches (hedges, retries after a
-    deadline abandonment) whose predecessor may still be writing slot
-    ``index``; ``-1`` means "use ``index``".
+    output slot for *exclusive* dispatches (retries after a deadline
+    abandonment) whose predecessor may still be writing slot ``index``;
+    ``-1`` means "use ``index``".
 
     ``attempt`` is the supervisor's per-shard dispatch ordinal (0 for
-    the first launch, unique across retries and hedges).  The shard's
+    the first launch, 1 for the first retry, ...).  The shard's
     *work* never depends on it — results stay bit-identical across
     attempts — but the chaos harness keys fault plans on it.
 
@@ -100,9 +91,6 @@ class ShardTask:
     seed_entropy: Optional[int] = None
     seed_spawn_key: tuple = ()
     chunk_size: int = 4096
-    checkpoint_dir: Optional[str] = None
-    checkpoint_every: int = 16
-    resume: bool = False
     backend: Optional[str] = None
     observe: bool = False
     trace_parent: tuple = ()
@@ -154,38 +142,6 @@ def _shard_seed(task: ShardTask):
     )
 
 
-def _shard_checkpoint_dir(task: ShardTask) -> Optional[Path]:
-    if task.checkpoint_dir is None:
-        return None
-    return Path(task.checkpoint_dir) / f"shard-{task.index:03d}"
-
-
-def _build_runtime(task: ShardTask, observer: Optional[Observer]) -> StreamRuntime:
-    directory = _shard_checkpoint_dir(task)
-    if task.resume:
-        if directory is None:
-            raise ConfigurationError(
-                "cannot resume a shard that was run without a checkpoint_dir"
-            )
-        try:
-            return StreamRuntime.recover(
-                directory,
-                checkpoint_every=task.checkpoint_every,
-                observer=observer,
-            )
-        except CheckpointError:
-            # Killed before the first snapshot landed — start clean.
-            pass
-    return StreamRuntime(
-        build_sketch(task.header),
-        p=task.p,
-        seed=_shard_seed(task),
-        checkpoint_dir=directory,
-        checkpoint_every=task.checkpoint_every,
-        observer=observer,
-    )
-
-
 def _heartbeat_stream(envelopes, beats: np.ndarray, slot: int):
     """Tick the dispatch's heartbeat slot once per delivered envelope."""
     delivered = 0
@@ -195,13 +151,12 @@ def _heartbeat_stream(envelopes, beats: np.ndarray, slot: int):
         yield envelope
 
 
-def run_shard(task: ShardTask, *, injector: Optional[ChaosInjector] = None) -> ShardResult:
+def run_shard(task: ShardTask) -> ShardResult:
     """Sketch one shard end to end; runs inside a pool worker.
 
-    With *injector* set (tests only), envelopes pass through the chaos
-    harness and a :class:`~repro.resilience.chaos.SimulatedCrash` may
-    escape mid-shard — exactly what a killed worker looks like to the
-    coordinator, which then resubmits the task with ``resume=True``.
+    Every run starts from the shard's first chunk with a fresh sketch and
+    a shedder rebuilt from the spawned seed, so running the same task
+    again (a retry) returns the same counters and ledger.
     """
     if task.backend is not None:
         set_backend(task.backend)
@@ -217,19 +172,22 @@ def run_shard(task: ShardTask, *, injector: Optional[ChaosInjector] = None) -> S
             keys = key_block.array[start:stop]
         else:
             keys = np.asarray(task.keys, dtype=np.int64)
-        runtime = _build_runtime(task, observer)
+        runtime = StreamRuntime(
+            build_sketch(task.header),
+            p=task.p,
+            seed=_shard_seed(task),
+            observer=observer,
+        )
         in_place = bool(task.shm_counters)
         slot = task.shm_slot if task.shm_slot >= 0 else task.index
         if in_place:
             counter_block = SharedBlock.attach(task.shm_counters)
             # Point the sketch's storage at this dispatch's slot: updates
-            # land in the transport buffer directly, and a resumed sketch
-            # copies its recovered counters over whatever a crashed
-            # attempt left there.
+            # land in the transport buffer directly, and the fresh
+            # sketch's zeros overwrite whatever a crashed attempt left
+            # there.
             runtime.sketch._bind_state(counter_block.array[slot])
         envelopes = envelope_stream(iter_chunks(keys, task.chunk_size))
-        if injector is not None:
-            envelopes = injector.wrap(envelopes)
         if task.shm_heartbeat and task.heartbeat_slot >= 0:
             heartbeat_block = SharedBlock.attach(task.shm_heartbeat)
             envelopes = _heartbeat_stream(

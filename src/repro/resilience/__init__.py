@@ -15,10 +15,11 @@ This package hardens the reproduction for long-running deployments:
   pieces together with envelope integrity checks and ``recover()``;
 * :mod:`~repro.resilience.chaos` — the deterministic fault-injection
   harness exercising all of the above (including the process pool);
-* :mod:`~repro.resilience.distributed` — the coordinator-side control
-  plane for sharded scans: seeded :class:`BackoffPolicy` retry delays,
-  :class:`ShardSupervisor` deadlines / heartbeats / hedged dispatch, and
-  the widened variance bounds behind graceful degradation.
+* :mod:`~repro.resilience.distributed` — seeded :class:`BackoffPolicy`
+  retry delays for stream readers, and the coordinator-side control
+  plane for sharded scans: :class:`ShardSupervisor` deadlines, heartbeats
+  and retries, and the widened variance bounds behind graceful
+  degradation.
 """
 
 from .adaptive import AdaptiveSheddingSketcher, averaged_estimator_count

@@ -311,7 +311,7 @@ class WorkerFault:
       crashing (an eventual OOM-kill); with a deadline armed the
       supervisor abandons it as soon as its heartbeat goes quiet;
     * ``slow`` — the worker sleeps *duration* seconds, then completes
-      normally (a straggler; hedged dispatch races it);
+      normally (a straggler; the supervisor waits for it);
     * ``drop`` — the shard's work completes (counters written) but the
       result raises :class:`ResultDropped` instead of returning (lost
       transport message; the retry re-binds the same slot);
@@ -339,7 +339,7 @@ class ParallelChaosPlan:
     """A seeded, picklable fault schedule keyed by ``(shard, attempt)``.
 
     Attempts are the supervisor's per-shard dispatch ordinals, so a
-    retried (or hedged) dispatch sees a *fresh* key — faults are
+    retried dispatch sees a *fresh* key — faults are
     transient exactly like :class:`ChaosInjector`'s, and a plan whose
     faults all target early attempts provably lets every shard finish
     within the retry allowance.
@@ -420,13 +420,13 @@ class ChaosShardWorker:
     def __init__(self, plan: ParallelChaosPlan) -> None:
         self.plan = plan
 
-    def __call__(self, task, **kwargs):
+    def __call__(self, task):
         from ..parallel.shm import SharedBlock
         from ..parallel.worker import run_shard
 
         fault = self.plan.fault_for(task.index, task.attempt)
         if fault is None:
-            return run_shard(task, **kwargs)
+            return run_shard(task)
         if fault.kind == "kill":
             signal.raise_signal(signal.SIGKILL)
         if fault.kind == "hang":
@@ -437,9 +437,9 @@ class ChaosShardWorker:
             )
         if fault.kind == "slow":
             time.sleep(fault.duration)
-            return run_shard(task, **kwargs)
+            return run_shard(task)
         if fault.kind == "drop":
-            run_shard(task, **kwargs)
+            run_shard(task)
             raise ResultDropped(
                 f"shard {task.index} attempt {task.attempt} finished but "
                 "its result was dropped in transit"

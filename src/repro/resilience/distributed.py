@@ -7,12 +7,14 @@ This module is the coordinator-side control plane for distributed scans:
   budget, deterministic jitter drawn through :mod:`repro.rng`) that
   replaces ad-hoc ``sleep(base * 2 ** k)`` loops.  Same seed, same
   schedule — retry timing is as reproducible as everything else here.
+  :func:`~repro.resilience.hardening.retrying_read_stream` spaces its
+  re-reads with it.
 * :class:`ShardSupervisor` — deadlines, heartbeat-driven hang detection,
-  hedged re-dispatch of stragglers (first result wins, the loser is
-  cancelled; shard work is deterministic so hedging can never change a
-  result), bounded retries with backoff, and graceful degradation: with
-  ``degradation="degrade"`` a shard that exhausts its retries is recorded
-  as a :class:`ShardFailure` instead of sinking the whole run.
+  bounded retries (a failed shard runs again from its first chunk, which
+  is bit-identical because shard work is deterministic), and graceful
+  degradation: with ``degradation="degrade"`` a shard that exhausts its
+  retries is recorded as a :class:`ShardFailure` instead of sinking the
+  whole run.
 * :func:`widened_self_join_variance` / :func:`widened_join_variance` —
   conservative runtime bounds on the extra estimator variance a degraded
   (partial-shard) run pays, mirroring the exact closed forms in
@@ -35,15 +37,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from concurrent.futures import CancelledError
-
 from ..errors import (
     ConfigurationError,
     DeadlineExceededError,
     RetryExhaustedError,
 )
 from ..observability import as_observer
-from ..rng import SeedLike, as_generator, spawn
+from ..rng import SeedLike, as_generator
 
 __all__ = [
     "BackoffPolicy",
@@ -161,9 +161,8 @@ class BackoffSchedule:
 class ShardFailure:
     """Plain-data record of one shard the supervisor gave up on.
 
-    *kind* is ``"error"`` (every attempt raised), ``"deadline"`` (the
-    final attempt hung past its no-progress deadline), or ``"budget"``
-    (the backoff budget ran out before the retry allowance did).
+    *kind* is ``"error"`` (every attempt raised) or ``"deadline"`` (the
+    final attempt hung past its no-progress deadline).
     """
 
     shard: int
@@ -179,48 +178,39 @@ class SupervisionOutcome:
     winners: Dict[int, Any] = field(default_factory=dict)
     lost: Dict[int, ShardFailure] = field(default_factory=dict)
     retries: int = 0
-    hedges: int = 0
-    backoff_wait: float = 0.0
     deadline_failures: int = 0
 
 
 class _Dispatch:
-    """One in-flight dispatch (primary or hedge) the supervisor tracks."""
+    """The one live dispatch of a shard the supervisor is waiting on."""
 
-    __slots__ = (
-        "shard",
-        "handle",
-        "hedge",
-        "started",
-        "progress_at",
-        "progress_value",
-    )
+    __slots__ = ("shard", "handle", "progress_at", "progress_value")
 
-    def __init__(self, shard: int, handle, hedge: bool, now: float) -> None:
+    def __init__(self, shard: int, handle, now: float) -> None:
         self.shard = shard
         self.handle = handle
-        self.hedge = hedge
-        self.started = now
         self.progress_at = now
         self.progress_value: Optional[int] = None
 
 
 class ShardSupervisor:
-    """Coordinator-side shard lifecycle: deadlines, hedges, retries, loss.
+    """Coordinator-side shard lifecycle: deadlines, retries, loss.
 
     The supervisor is transport-agnostic: it drives an injected
-    ``dispatch(shard, attempt, resume, exclusive)`` callable that returns
-    a handle exposing ``handle.future`` (``done()`` / ``result()`` /
-    ``cancel()``) and optionally ``handle.progress`` — a zero-argument
-    callable reading that dispatch's heartbeat counter.  *attempt* is a
-    per-shard dispatch ordinal (0 for the first launch, unique across
-    retries *and* hedges), which is what the chaos harness keys its fault
-    plans on.  ``exclusive=True`` warns the dispatcher that an earlier
-    attempt of this shard may still be running and writing — the new
-    attempt must get a private output slot.
+    ``dispatch(shard, attempt, exclusive)`` callable that returns a handle
+    exposing ``handle.future`` (``done()`` / ``result()`` / ``cancel()``)
+    and optionally ``handle.progress`` — a zero-argument callable reading
+    that dispatch's heartbeat counter.  *attempt* is a per-shard dispatch
+    ordinal (0 for the first launch, 1 for the first retry, ...), which is
+    what the chaos harness keys its fault plans on.  ``exclusive=True``
+    warns the dispatcher that an earlier attempt of this shard was
+    abandoned and may still be running and writing — the new attempt must
+    get a private output slot.
 
-    Failure accounting matches the coordinator's historical retry loop:
-    a shard may fail ``max_retries`` times and be relaunched; the next
+    A failed shard runs again from its first chunk, as soon as its failure
+    is seen.  Shard work depends only on the shard's keys and its spawned
+    seed, so the retry's result is bit-identical to an undisturbed run.  A
+    shard may fail ``max_retries`` times and be relaunched; the next
     failure exhausts it.  What *exhausted* means is the degradation knob:
     ``"fail"`` raises :class:`~repro.errors.RetryExhaustedError`
     immediately, ``"degrade"`` records a :class:`ShardFailure` and keeps
@@ -229,11 +219,7 @@ class ShardSupervisor:
     Hang detection uses heartbeats when the dispatch provides them: a
     dispatch whose progress counter does not move for *deadline* seconds
     is abandoned (kind ``"deadline"``).  Without a heartbeat channel the
-    deadline falls back to wall-clock time since dispatch.  Straggler
-    hedging launches one duplicate dispatch after *hedge_after* seconds
-    of no result; whichever finishes first wins and the sibling is
-    cancelled.  Shard work is deterministic, so the winner's bytes are
-    identical either way.
+    deadline falls back to wall-clock time since dispatch.
     """
 
     def __init__(
@@ -242,15 +228,10 @@ class ShardSupervisor:
         *,
         max_retries: int = 2,
         deadline: Optional[float] = None,
-        hedge_after: Optional[float] = None,
-        max_hedges: int = 1,
         degradation: str = "fail",
-        backoff: Optional[BackoffPolicy] = None,
-        resume_retries: bool = False,
         poll_interval: float = 0.005,
         observer=None,
         clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
@@ -260,14 +241,6 @@ class ShardSupervisor:
             )
         if deadline is not None and deadline <= 0:
             raise ConfigurationError(f"deadline must be > 0, got {deadline}")
-        if hedge_after is not None and hedge_after <= 0:
-            raise ConfigurationError(
-                f"hedge_after must be > 0, got {hedge_after}"
-            )
-        if max_hedges < 0:
-            raise ConfigurationError(
-                f"max_hedges must be >= 0, got {max_hedges}"
-            )
         if degradation not in ("fail", "degrade"):
             raise ConfigurationError(
                 f'degradation must be "fail" or "degrade", got {degradation!r}'
@@ -279,20 +252,10 @@ class ShardSupervisor:
         self._shards = int(shards)
         self._max_retries = int(max_retries)
         self._deadline = deadline
-        self._hedge_after = hedge_after
-        self._max_hedges = int(max_hedges)
         self._degradation = degradation
-        self._backoff = backoff
-        self._resume_retries = bool(resume_retries)
         self._poll_interval = float(poll_interval)
         self._observer = observer
         self._clock = clock
-        self._sleep = sleep
-
-    @property
-    def supervised(self) -> bool:
-        """Whether deadline/hedge features require active polling."""
-        return self._deadline is not None or self._hedge_after is not None
 
     # ------------------------------------------------------------------
 
@@ -308,172 +271,87 @@ class ShardSupervisor:
 
     def _run(self, dispatch, obs) -> SupervisionOutcome:
         outcome = SupervisionOutcome()
-        active: List[_Dispatch] = []
-        sequence = [0] * self._shards  # next attempt ordinal per shard
-        failure_count = [0] * self._shards
-        hedge_count = [0] * self._shards
+        active: List[_Dispatch] = []  # at most one live dispatch per shard
+        failures = [0] * self._shards  # also the next attempt ordinal
         tainted = [False] * self._shards  # abandoned attempt may still write
         last_error: Dict[int, BaseException] = {}
-        retry_at: Dict[int, float] = {}  # shard -> due time
-        schedules: Dict[int, BackoffSchedule] = {}
-        backoff_seeds = (
-            spawn(self._backoff.seed, self._shards)
-            if self._backoff is not None
-            else None
-        )
 
-        def launch(shard: int, *, resume: bool, exclusive: bool, hedge: bool) -> None:
-            attempt = sequence[shard]
-            sequence[shard] += 1
-            handle = dispatch(shard, attempt, resume, exclusive)
-            active.append(_Dispatch(shard, handle, hedge, self._clock()))
-
-        def siblings(shard: int, other: _Dispatch) -> List[_Dispatch]:
-            return [r for r in active if r.shard == shard and r is not other]
+        def launch(shard: int) -> None:
+            handle = dispatch(shard, failures[shard], tainted[shard])
+            active.append(_Dispatch(shard, handle, self._clock()))
 
         def settle(shard: int, exc: BaseException, kind: str) -> None:
-            """A shard's last live dispatch failed; retry, degrade, or raise."""
+            """A shard's dispatch failed; retry, degrade, or raise."""
             last_error[shard] = exc
-            failure_count[shard] += 1
-            count = failure_count[shard]
+            failures[shard] += 1
+            count = failures[shard]
             if kind == "deadline":
                 outcome.deadline_failures += 1
                 obs.counter("parallel.shard.deadline_expired").inc()
-            exhausted = count > self._max_retries
-            delay = 0.0
-            if not exhausted and self._backoff is not None:
-                schedule = schedules.get(shard)
-                if schedule is None:
-                    schedule = schedules[shard] = self._backoff.schedule(
-                        backoff_seeds[shard]
-                    )
-                step = schedule.next_delay()
-                if step is None:
-                    exhausted, kind = True, "budget"
-                else:
-                    delay = step
-                    outcome.backoff_wait += delay
-                    obs.counter("parallel.backoff.wait_seconds").inc(delay)
-            if exhausted:
-                if self._degradation == "degrade":
-                    outcome.lost[shard] = ShardFailure(
-                        shard=shard,
-                        attempts=count,
-                        kind=kind,
-                        error=repr(exc),
-                    )
-                    obs.counter("parallel.shard.degraded").inc()
-                    return
-                if kind == "budget":
-                    raise RetryExhaustedError(
-                        f"shard {shard} exhausted its backoff budget after "
-                        f"{count} failure(s); giving up"
-                    ) from exc
+            if count <= self._max_retries:
+                outcome.retries += 1
+                obs.counter("parallel.shard.retries").inc()
+                launch(shard)
+            elif self._degradation == "degrade":
+                outcome.lost[shard] = ShardFailure(
+                    shard=shard,
+                    attempts=count,
+                    kind=kind,
+                    error=repr(exc),
+                )
+                obs.counter("parallel.shard.degraded").inc()
+            else:
                 raise RetryExhaustedError(
                     f"shard {shard} failed {count} time(s); giving up"
                 ) from exc
-            outcome.retries += 1
-            obs.counter("parallel.shard.retries").inc()
-            retry_at[shard] = self._clock() + delay
 
         for shard in range(self._shards):
-            launch(shard, resume=False, exclusive=False, hedge=False)
+            launch(shard)
 
-        while len(outcome.winners) + len(outcome.lost) < self._shards:
+        while active:
             progressed = False
 
-            # 1. Reap finished dispatches (first result per shard wins).
+            # 1. Reap finished dispatches.
             for record in list(active):
                 future = record.handle.future
-                # A winner earlier in this pass drops its rivals from active.
-                if record not in active or not future.done():
+                if not future.done():
                     continue
                 active.remove(record)
                 progressed = True
-                shard = record.shard
-                if shard in outcome.winners or shard in outcome.lost:
-                    continue  # late sibling of a settled shard
                 try:
                     future.result()
-                except CancelledError:
-                    continue
                 except Exception as exc:
-                    rivals = siblings(shard, record)
-                    if rivals:
-                        for rival in rivals:
-                            rival.hedge = False  # promote the survivor
-                        continue
-                    settle(shard, exc, "error")
+                    settle(record.shard, exc, "error")
                 else:
-                    outcome.winners[shard] = record.handle
-                    retry_at.pop(shard, None)
-                    for rival in siblings(shard, record):
-                        rival.handle.future.cancel()
-                        active.remove(rival)
+                    outcome.winners[record.shard] = record.handle
 
-            # 2. Deadlines (no-progress) and straggler hedges.
-            if self.supervised:
+            # 2. Abandon dispatches that made no progress for a deadline.
+            if self._deadline is not None:
                 now = self._clock()
                 for record in list(active):
-                    shard = record.shard
-                    if shard in outcome.winners or shard in outcome.lost:
-                        continue
                     progress = getattr(record.handle, "progress", None)
                     if progress is not None:
                         value = progress()
                         if value != record.progress_value:
                             record.progress_value = value
                             record.progress_at = now
-                    if (
-                        self._deadline is not None
-                        and now - record.progress_at > self._deadline
-                    ):
-                        active.remove(record)
-                        record.handle.future.cancel()
-                        tainted[shard] = True
-                        progressed = True
-                        rivals = siblings(shard, record)
-                        if rivals:
-                            for rival in rivals:
-                                rival.hedge = False
-                            continue
-                        settle(
-                            shard,
-                            DeadlineExceededError(
-                                f"shard {shard} made no progress for more "
-                                f"than {self._deadline:.6g}s"
-                            ),
-                            "deadline",
-                        )
+                    if now - record.progress_at <= self._deadline:
                         continue
-                    if (
-                        self._hedge_after is not None
-                        and not record.hedge
-                        and hedge_count[shard] < self._max_hedges
-                        and not siblings(shard, record)
-                        and now - record.started > self._hedge_after
-                    ):
-                        hedge_count[shard] += 1
-                        outcome.hedges += 1
-                        obs.counter("parallel.shard.hedges").inc()
-                        launch(shard, resume=False, exclusive=True, hedge=True)
-                        progressed = True
+                    active.remove(record)
+                    record.handle.future.cancel()
+                    tainted[record.shard] = True
+                    progressed = True
+                    settle(
+                        record.shard,
+                        DeadlineExceededError(
+                            f"shard {record.shard} made no progress for more "
+                            f"than {self._deadline:.6g}s"
+                        ),
+                        "deadline",
+                    )
 
-            # 3. Launch retries that have served their backoff delay.
-            now = self._clock()
-            for shard in [s for s, due in retry_at.items() if now >= due]:
-                del retry_at[shard]
-                launch(
-                    shard,
-                    resume=self._resume_retries,
-                    exclusive=tainted[shard],
-                    hedge=False,
-                )
-                progressed = True
-
-            if progressed or len(outcome.winners) + len(outcome.lost) >= self._shards:
-                continue
-            self._wait(active, retry_at)
+            if not progressed and active:
+                self._wait(active[0])
 
         if len(outcome.lost) >= self._shards:
             final = last_error[max(last_error)] if last_error else None
@@ -482,27 +360,13 @@ class ShardSupervisor:
             ) from final
         return outcome
 
-    def _wait(self, active: List[_Dispatch], retry_at: Dict[int, float]) -> None:
-        """Block until something is likely to have changed."""
-        timeout: Optional[float] = None
-        if retry_at:
-            now = self._clock()
-            timeout = max(0.0, min(retry_at.values()) - now)
-        if self.supervised:
-            timeout = (
-                self._poll_interval
-                if timeout is None
-                else min(timeout, self._poll_interval)
-            )
-        if active:
-            try:
-                active[0].handle.future.result(timeout=timeout)
-            except CancelledError:
-                pass
-            except Exception:
-                pass  # reaped (with attribution) on the next pass
-        elif timeout:
-            self._sleep(timeout)
+    def _wait(self, record: _Dispatch) -> None:
+        """Block on one live dispatch, at most one poll when deadlines run."""
+        timeout = self._poll_interval if self._deadline is not None else None
+        try:
+            record.handle.future.result(timeout=timeout)
+        except Exception:
+            pass  # reaped (with attribution) on the next pass
 
 
 # ----------------------------------------------------------------------

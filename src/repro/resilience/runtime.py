@@ -166,6 +166,7 @@ class StreamRuntime:
         "checkpoints_written",
         "observer",
         "_manager",
+        "_source",
     )
 
     def __init__(
@@ -200,6 +201,7 @@ class StreamRuntime:
             if checkpoint_dir is None
             else CheckpointManager(checkpoint_dir, keep=keep_checkpoints)
         )
+        self._source = None
 
     # ------------------------------------------------------------------
     # Ingest
@@ -272,8 +274,13 @@ class StreamRuntime:
 
         *stream* may yield :class:`ChunkEnvelope` objects or raw key
         chunks; raw chunks are sealed on the fly with sequence numbers
-        starting at 0, so re-running the same raw stream after a recovery
-        naturally skips the already-applied prefix.
+        starting at 0.  A re-iterable stream (a list of chunks) replays
+        from its first chunk on every call, so re-running it after a
+        fault or a recovery skips the already-applied prefix.  A one-shot
+        iterator (a generator) cannot replay: pass a fresh one per call.
+        Handing the same one-shot iterator to a second call raises
+        :class:`~repro.errors.ConfigurationError`, because numbering its
+        remainder from 0 would skip fresh chunks as duplicates.
 
         Since the dataplane landed this is a one-stage
         :class:`~repro.dataplane.Pipeline` (synchronous mode: no queue,
@@ -283,9 +290,12 @@ class StreamRuntime:
         # Local import: repro.dataplane builds on this module.
         from ..dataplane import IterableSource, Pipeline, RuntimeSink
 
+        # Reusing the source keeps its one-shot guard armed across calls.
+        if self._source is None or self._source.items is not stream:
+            self._source = IterableSource(stream)
         sink = RuntimeSink(self)
         Pipeline(
-            IterableSource(stream), sinks=[sink], queue_depth=0, clock=self.clock
+            self._source, sinks=[sink], queue_depth=0, clock=self.clock
         ).run()
         if self._manager is not None and self.position % self.checkpoint_every != 0:
             self.checkpoint()
@@ -409,6 +419,7 @@ class StreamRuntime:
             runtime.checkpoints_written = 0
             runtime.observer = obs
             runtime._manager = manager
+            runtime._source = None
             restore_span.annotate(position=snapshot.position)
         obs.counter("runtime.recoveries").inc()
         return runtime

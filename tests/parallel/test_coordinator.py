@@ -12,7 +12,7 @@ from repro.parallel import (
     parallel_update,
     run_sharded_sketch,
 )
-from repro.resilience.chaos import ChaosInjector
+from repro.resilience.chaos import ChaosShardWorker, ParallelChaosPlan, WorkerFault
 from repro.sketches.agms import AgmsSketch
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.fagms import FagmsSketch
@@ -206,12 +206,22 @@ def test_shard_sketch_reconstruction(skewed_keys):
 # ----------------------------------------------------------------------
 
 
-def test_chaos_killed_workers_resume_bit_identically(tmp_path, skewed_keys):
+def test_chaos_killed_workers_resume_bit_identically(skewed_keys):
+    """A failed shard runs again from its first chunk: same counters, same ledger."""
     template = FagmsSketch(64, rows=3, seed=17)
     baseline = run_sharded_sketch(
         skewed_keys, template, shards=3, p=0.5, seed=7, chunk_size=512
     )
-    injector = ChaosInjector(seed=13, crash_rate=0.15, max_faults=3)
+    # A dropped result comes from a shard whose shedder drew over every
+    # key, so the retry must rebuild the shedder from the spawned seed.
+    plan = ParallelChaosPlan(
+        faults=(
+            ((0, 0), WorkerFault("drop")),
+            ((1, 0), WorkerFault("corrupt_slot")),
+            ((1, 1), WorkerFault("hang", 0.0)),
+            ((2, 0), WorkerFault("drop")),
+        )
+    )
     survived = run_sharded_sketch(
         skewed_keys,
         template,
@@ -219,18 +229,22 @@ def test_chaos_killed_workers_resume_bit_identically(tmp_path, skewed_keys):
         p=0.5,
         seed=7,
         chunk_size=512,
-        checkpoint_dir=tmp_path,
-        checkpoint_every=4,
         max_retries=5,
-        injector=injector,
+        _worker=ChaosShardWorker(plan),
     )
-    assert survived.retries > 0
+    assert survived.retries == plan.total_faults
     assert np.array_equal(baseline.sketch._state(), survived.sketch._state())
     assert baseline.info() == survived.info()
 
 
 def test_retries_exhaust_into_typed_error(skewed_keys):
-    injector = ChaosInjector(seed=1, crash_rate=1.0, max_faults=10_000)
+    plan = ParallelChaosPlan(
+        faults=tuple(
+            ((shard, attempt), WorkerFault("drop"))
+            for shard in range(2)
+            for attempt in range(3)
+        )
+    )
     with pytest.raises(RetryExhaustedError):
         run_sharded_sketch(
             skewed_keys,
@@ -238,18 +252,7 @@ def test_retries_exhaust_into_typed_error(skewed_keys):
             shards=2,
             chunk_size=512,
             max_retries=2,
-            injector=injector,
-        )
-
-
-def test_injector_requires_inline_pool(skewed_keys, process_pool):
-    with pytest.raises(ConfigurationError):
-        run_sharded_sketch(
-            skewed_keys,
-            FagmsSketch(64, rows=3, seed=17),
-            shards=2,
-            pool=process_pool,
-            injector=ChaosInjector(seed=1, crash_rate=0.5),
+            _worker=ChaosShardWorker(plan),
         )
 
 

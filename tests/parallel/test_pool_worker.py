@@ -1,4 +1,4 @@
-"""Pool lifecycle and per-shard worker semantics (checkpoints, resume)."""
+"""Pool lifecycle and per-shard worker semantics."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.errors import ConfigurationError
 from repro.kernels import backend_name
 from repro.parallel import ShardTask, WorkerPool, run_shard
 from repro.parallel.worker import PartialUpdateTask, run_partial_update
-from repro.resilience.chaos import ChaosInjector, SimulatedCrash
 from repro.sketches.fagms import FagmsSketch
 from repro.sketches.serialization import sketch_header
 
@@ -76,6 +75,12 @@ def test_pool_close_is_idempotent():
     assert pool.inline
 
 
+def test_inline_pool_recycle_is_a_no_op(inline_pool):
+    inline_pool.recycle()
+    assert inline_pool.inline
+    assert inline_pool.revivals == 0
+
+
 # ----------------------------------------------------------------------
 # run_shard
 # ----------------------------------------------------------------------
@@ -104,53 +109,6 @@ def test_run_shard_unshedded_matches_plain_sketch(skewed_keys):
     plain.update(skewed_keys)
     assert np.array_equal(result.counters, plain.counters)
     assert result.kept == result.seen
-
-
-def test_run_shard_checkpoints(tmp_path, skewed_keys):
-    run_shard(_task(skewed_keys, checkpoint_dir=str(tmp_path), checkpoint_every=8))
-    shard_dir = tmp_path / "shard-000"
-    assert shard_dir.is_dir()
-    assert any(shard_dir.iterdir())
-
-
-def test_killed_shard_resumes_bit_identically(tmp_path, skewed_keys):
-    """Crash mid-shard, resume from the checkpoint: same bytes out."""
-    baseline = run_shard(_task(skewed_keys))
-    injector = ChaosInjector(seed=3, crash_rate=0.1, max_faults=1)
-    with pytest.raises(SimulatedCrash):
-        run_shard(
-            _task(skewed_keys, checkpoint_dir=str(tmp_path), checkpoint_every=4),
-            injector=injector,
-        )
-    resumed = run_shard(
-        _task(
-            skewed_keys,
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every=4,
-            resume=True,
-        )
-    )
-    assert np.array_equal(baseline.counters, resumed.counters)
-    assert (baseline.seen, baseline.kept) == (resumed.seen, resumed.kept)
-
-
-def test_resume_without_any_checkpoint_starts_clean(tmp_path, skewed_keys):
-    """A worker killed before its first snapshot restarts from scratch."""
-    baseline = run_shard(_task(skewed_keys))
-    resumed = run_shard(
-        _task(
-            skewed_keys,
-            checkpoint_dir=str(tmp_path),
-            checkpoint_every=4,
-            resume=True,
-        )
-    )
-    assert np.array_equal(baseline.counters, resumed.counters)
-
-
-def test_resume_needs_checkpoint_dir(skewed_keys):
-    with pytest.raises(ConfigurationError):
-        run_shard(_task(skewed_keys, resume=True))
 
 
 # ----------------------------------------------------------------------

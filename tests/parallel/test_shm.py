@@ -28,7 +28,7 @@ from repro.parallel import (
     reduce_counter_tree,
     run_sharded_sketch,
 )
-from repro.resilience.chaos import ChaosInjector
+from repro.resilience.chaos import ChaosShardWorker, ParallelChaosPlan, WorkerFault
 from repro.sketches.fagms import FagmsSketch
 
 
@@ -244,7 +244,13 @@ def test_sigkilled_worker_leaves_no_segments(shm_ledger, skewed_keys):
 
 def test_retry_exhaustion_leaves_no_segments(shm_ledger, skewed_keys):
     """Chaos crashes through every retry; the finally still unlinks."""
-    injector = ChaosInjector(seed=1, crash_rate=1.0, max_faults=10_000)
+    plan = ParallelChaosPlan(
+        faults=tuple(
+            ((shard, attempt), WorkerFault("corrupt_slot"))
+            for shard in range(2)
+            for attempt in range(3)
+        )
+    )
     with pytest.raises(RetryExhaustedError):
         run_sharded_sketch(
             skewed_keys,
@@ -252,20 +258,27 @@ def test_retry_exhaustion_leaves_no_segments(shm_ledger, skewed_keys):
             shards=2,
             chunk_size=512,
             max_retries=2,
-            injector=injector,
             shared_memory=True,
+            _worker=ChaosShardWorker(plan),
         )
 
 
-def test_chaos_retries_with_shared_slots_stay_bit_identical(
-    shm_ledger, tmp_path, skewed_keys
-):
-    """A retried shard re-binds its slot over the crashed attempt's bytes."""
+def test_chaos_retries_with_shared_slots_stay_bit_identical(shm_ledger, skewed_keys):
+    """A retried shard re-binds its slot over the failed attempt's bytes."""
     template = FagmsSketch(64, rows=3, seed=17)
     baseline = run_sharded_sketch(
         skewed_keys, template, shards=3, p=0.5, seed=7, chunk_size=512
     )
-    injector = ChaosInjector(seed=13, crash_rate=0.15, max_faults=3)
+    # A dropped attempt leaves finished counters in the slot and a torn
+    # one leaves NaN; the retry's fresh sketch overwrites either.
+    plan = ParallelChaosPlan(
+        faults=(
+            ((0, 0), WorkerFault("drop")),
+            ((1, 0), WorkerFault("corrupt_slot")),
+            ((1, 1), WorkerFault("hang", 0.0)),
+            ((2, 0), WorkerFault("corrupt_slot")),
+        )
+    )
     survived = run_sharded_sketch(
         skewed_keys,
         template,
@@ -273,14 +286,13 @@ def test_chaos_retries_with_shared_slots_stay_bit_identical(
         p=0.5,
         seed=7,
         chunk_size=512,
-        checkpoint_dir=tmp_path,
-        checkpoint_every=4,
         max_retries=5,
-        injector=injector,
         shared_memory=True,
+        _worker=ChaosShardWorker(plan),
     )
-    assert survived.retries > 0
+    assert survived.retries == plan.total_faults
     assert np.array_equal(baseline.sketch._state(), survived.sketch._state())
+    assert baseline.info() == survived.info()
 
 
 @pytest.mark.skipif(

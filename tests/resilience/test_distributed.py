@@ -1,8 +1,8 @@
 """BackoffPolicy schedules and ShardSupervisor lifecycle, fully faked.
 
-Every test here runs on an injected fake clock/sleep and hand-built
-dispatch handles, so deadlines, hedges, and backoff delays are exercised
-in microseconds of real time and with exact, deterministic timings.
+Every test here runs on an injected fake clock and hand-built dispatch
+handles, so deadlines and retries are exercised in microseconds of real
+time and with exact, deterministic timings.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class ScriptedDispatch:
         self.script = dict(script or {})
         self.calls = []
 
-    def __call__(self, shard, attempt, resume, exclusive):
-        self.calls.append((shard, attempt, resume, exclusive))
+    def __call__(self, shard, attempt, exclusive):
+        self.calls.append((shard, attempt, exclusive))
         factory = self.script.get((shard, attempt))
         if factory is None:
             return Handle(FakeFuture(self.clock, result=(shard, attempt)))
@@ -101,7 +101,6 @@ class ScriptedDispatch:
 
 def make_supervisor(clock: FakeClock, **kwargs) -> ShardSupervisor:
     kwargs.setdefault("clock", clock)
-    kwargs.setdefault("sleep", clock.sleep)
     return ShardSupervisor(kwargs.pop("shards", 3), **kwargs)
 
 
@@ -181,12 +180,8 @@ class TestSupervisorBasics:
         outcome = make_supervisor(clock).run(dispatch)
         assert set(outcome.winners) == {0, 1, 2}
         assert outcome.lost == {}
-        assert outcome.retries == 0 and outcome.hedges == 0
-        assert dispatch.calls == [
-            (0, 0, False, False),
-            (1, 0, False, False),
-            (2, 0, False, False),
-        ]
+        assert outcome.retries == 0
+        assert dispatch.calls == [(0, 0, False), (1, 0, False), (2, 0, False)]
 
     def test_failures_consume_retries_then_win(self):
         clock = FakeClock()
@@ -203,10 +198,12 @@ class TestSupervisorBasics:
         assert outcome.retries == 2
         # Attempt ordinals are per-shard and dense.
         assert [c for c in dispatch.calls if c[0] == 1] == [
-            (1, 0, False, False),
-            (1, 1, False, False),
-            (1, 2, False, False),
+            (1, 0, False),
+            (1, 1, False),
+            (1, 2, False),
         ]
+        # Each retry launched as soon as its failure was seen.
+        assert clock.now == 0.0
 
     def test_exhaustion_raises_with_cause(self):
         clock = FakeClock()
@@ -217,62 +214,6 @@ class TestSupervisorBasics:
         )
         with pytest.raises(RetryExhaustedError, match=r"shard 0 failed 3 time\(s\)"):
             make_supervisor(clock, shards=2, max_retries=2).run(dispatch)
-
-    def test_resume_flag_threads_through_retries(self):
-        clock = FakeClock()
-        dispatch = ScriptedDispatch(
-            clock,
-            {(0, 0): lambda: Handle(FakeFuture(clock, error=RuntimeError("x")))},
-        )
-        make_supervisor(clock, shards=1, resume_retries=True).run(dispatch)
-        assert dispatch.calls == [(0, 0, False, False), (0, 1, True, False)]
-
-
-class TestSupervisorBackoff:
-    def test_backoff_delays_are_served_on_the_clock(self):
-        clock = FakeClock()
-        boom = RuntimeError("flaky")
-        dispatch = ScriptedDispatch(
-            clock,
-            {
-                (0, 0): lambda: Handle(FakeFuture(clock, error=boom)),
-                (0, 1): lambda: Handle(FakeFuture(clock, error=boom)),
-            },
-        )
-        policy = BackoffPolicy(base=0.2, factor=2.0, cap=5.0, jitter=0.0)
-        outcome = make_supervisor(
-            clock, shards=1, max_retries=2, backoff=policy
-        ).run(dispatch)
-        assert outcome.retries == 2
-        assert outcome.backoff_wait == pytest.approx(0.2 + 0.4)
-        assert clock.now >= 0.6  # the waits really elapsed
-
-    def test_budget_exhaustion_fails_even_with_retries_left(self):
-        clock = FakeClock()
-        boom = RuntimeError("flaky")
-        dispatch = ScriptedDispatch(
-            clock,
-            {(0, a): (lambda: Handle(FakeFuture(clock, error=boom))) for a in range(9)},
-        )
-        policy = BackoffPolicy(base=1.0, factor=2.0, jitter=0.0, budget=1.5)
-        with pytest.raises(RetryExhaustedError, match="backoff budget"):
-            make_supervisor(
-                clock, shards=1, max_retries=8, backoff=policy
-            ).run(dispatch)
-
-    def test_budget_exhaustion_degrades_with_kind_budget(self):
-        clock = FakeClock()
-        boom = RuntimeError("flaky")
-        dispatch = ScriptedDispatch(
-            clock,
-            {(0, a): (lambda: Handle(FakeFuture(clock, error=boom))) for a in range(9)},
-        )
-        policy = BackoffPolicy(base=1.0, factor=2.0, jitter=0.0, budget=1.5)
-        outcome = make_supervisor(
-            clock, shards=2, max_retries=8, backoff=policy, degradation="degrade"
-        ).run(dispatch)
-        assert outcome.lost[0].kind == "budget"
-        assert set(outcome.winners) == {1}
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +300,7 @@ class TestDeadlines:
         make_supervisor(
             clock, shards=1, max_retries=1, deadline=0.05, poll_interval=0.01
         ).run(dispatch)
-        assert dispatch.calls == [(0, 0, False, False), (0, 1, False, True)]
+        assert dispatch.calls == [(0, 0, False), (0, 1, True)]
 
     def test_heartbeat_progress_defers_the_deadline(self):
         clock = FakeClock()
@@ -372,7 +313,7 @@ class TestDeadlines:
         future = FakeFuture(clock, never=True)
         calls = {"n": 0}
 
-        def dispatch(shard, attempt, resume, exclusive):
+        def dispatch(shard, attempt, exclusive):
             calls["n"] += 1
             if calls["n"] == 1:
                 return Handle(future, progress=progress)
@@ -437,128 +378,6 @@ class TestDeadlines:
 
 
 # ----------------------------------------------------------------------
-# Hedging
-# ----------------------------------------------------------------------
-
-
-class TestHedging:
-    def test_straggler_gets_a_hedge_and_the_hedge_wins(self):
-        clock = FakeClock()
-        primary = FakeFuture(clock, never=True)
-        dispatch = ScriptedDispatch(
-            clock,
-            {
-                (0, 0): lambda: Handle(primary),
-                (0, 1): lambda: Handle(FakeFuture(clock, result="hedge-win")),
-            },
-        )
-        outcome = make_supervisor(
-            clock, shards=1, hedge_after=0.05, poll_interval=0.01
-        ).run(dispatch)
-        assert outcome.hedges == 1
-        assert outcome.retries == 0
-        assert outcome.winners[0].future.result() == "hedge-win"
-        assert primary.cancelled  # the loser was cancelled
-        # The hedge dispatch is exclusive (private output slot), not a resume.
-        assert dispatch.calls == [(0, 0, False, False), (0, 1, False, True)]
-
-    def test_max_hedges_zero_disables_hedging(self):
-        clock = FakeClock()
-        state = {"calls": 0}
-
-        def dispatch(shard, attempt, resume, exclusive):
-            state["calls"] += 1
-            future = FakeFuture(clock, never=True)
-            original = future.result
-
-            def result(timeout=None):
-                if clock.now > 0.3:
-                    return "slow-but-fine"
-                return original(timeout)
-
-            future.result = result
-            done = future.done
-            future.done = lambda: clock.now > 0.3 or done()
-            return Handle(future)
-
-        outcome = make_supervisor(
-            clock, shards=1, hedge_after=0.05, max_hedges=0, poll_interval=0.01
-        ).run(dispatch)
-        assert state["calls"] == 1
-        assert outcome.hedges == 0
-
-    def test_failed_primary_promotes_the_hedge(self):
-        clock = FakeClock()
-        primary = FakeFuture(clock, never=True)
-        original = primary.result
-        # The primary fails (rather than completes) shortly after the
-        # hedge launches; the hedge must absorb the shard without the
-        # failure consuming a retry.
-        primary.result = lambda timeout=None: (_ for _ in ()).throw(
-            RuntimeError("primary died")
-        ) if clock.now > 0.1 else original(timeout)
-        done = primary.done
-        primary.done = lambda: clock.now > 0.1 or done()
-
-        hedge = FakeFuture(clock, never=True)
-        hedge_original = hedge.result
-        hedge.result = (
-            lambda timeout=None: "rescued"
-            if clock.now > 0.2
-            else hedge_original(timeout)
-        )
-        hedge_done = hedge.done
-        hedge.done = lambda: clock.now > 0.2 or hedge_done()
-
-        dispatch = ScriptedDispatch(
-            clock, {(0, 0): lambda: Handle(primary), (0, 1): lambda: Handle(hedge)}
-        )
-        outcome = make_supervisor(
-            clock, shards=1, hedge_after=0.05, poll_interval=0.01
-        ).run(dispatch)
-        assert outcome.retries == 0
-        assert outcome.winners[0].future.result() == "rescued"
-
-    def test_primary_and_hedge_done_in_one_pass(self):
-        # Both dispatches of the shard finish before the supervisor reaps
-        # again: the primary wins, and its finished hedge is dropped once.
-        clock = FakeClock()
-        hedged = []
-        primary = FakeFuture(clock, never=True)
-        waiting = primary.result
-        primary.done = lambda: bool(hedged)
-        primary.result = lambda timeout=None: "primary" if hedged else waiting(timeout)
-
-        def hedge():
-            hedged.append(True)
-            return Handle(FakeFuture(clock, result="hedge"))
-
-        dispatch = ScriptedDispatch(
-            clock, {(0, 0): lambda: Handle(primary), (0, 1): hedge}
-        )
-        outcome = make_supervisor(
-            clock, shards=1, hedge_after=0.05, poll_interval=0.01
-        ).run(dispatch)
-        assert outcome.hedges == 1
-        assert outcome.winners[0].future.result() == "primary"
-
-    def test_hedge_metric_counted(self):
-        clock = FakeClock()
-        obs = Observer(clock)
-        dispatch = ScriptedDispatch(
-            clock,
-            {
-                (0, 0): lambda: Handle(FakeFuture(clock, never=True)),
-                (0, 1): lambda: Handle(FakeFuture(clock, result="ok")),
-            },
-        )
-        make_supervisor(
-            clock, shards=1, hedge_after=0.02, poll_interval=0.01, observer=obs
-        ).run(dispatch)
-        assert obs.metrics.snapshot().counter_value("parallel.shard.hedges") == 1
-
-
-# ----------------------------------------------------------------------
 # Validation and widened-variance helpers
 # ----------------------------------------------------------------------
 
@@ -570,8 +389,6 @@ class TestValidation:
             {"shards": 0},
             {"max_retries": -1},
             {"deadline": 0.0},
-            {"hedge_after": -1.0},
-            {"max_hedges": -1},
             {"degradation": "explode"},
             {"poll_interval": 0.0},
         ],

@@ -11,13 +11,14 @@ import copy
 import numpy as np
 import pytest
 
-from repro.errors import CheckpointError, StreamIntegrityError
+from repro.errors import CheckpointError, ConfigurationError, StreamIntegrityError
 from repro.kernels import backend_name, native_available, set_backend
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.runtime import StreamRuntime, envelope_stream, make_envelope
 from repro.sketches.agms import AgmsSketch
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.fagms import FagmsSketch
+from repro.streams import iter_chunks
 
 BACKENDS = ["reference", "numpy"] + (["native"] if native_available() else [])
 
@@ -143,6 +144,37 @@ def test_gap_in_sequence_raises(stream_chunks):
     runtime.process(make_envelope(0, stream_chunks[0]))
     with pytest.raises(StreamIntegrityError, match="gap"):
         runtime.process(make_envelope(2, stream_chunks[2]))
+
+
+class _FailsOnceAtKey30(FagmsSketch):
+    """Raises once, on the chunk whose first key is 30."""
+
+    failed = False
+
+    def update(self, keys, *args, **kwargs):
+        if not self.failed and int(keys[0]) == 30:
+            self.failed = True
+            raise RuntimeError("transient sketch failure")
+        return super().update(keys, *args, **kwargs)
+
+
+def test_rerun_over_the_same_one_shot_iterator_raises():
+    """A generator cannot replay: its remainder must not be renumbered."""
+    runtime = StreamRuntime(_FailsOnceAtKey30(buckets=64, seed=3))
+    chunks = iter_chunks(np.arange(100), 10)
+    with pytest.raises(RuntimeError, match="transient"):
+        runtime.run(chunks)
+    assert runtime.position == 3
+    with pytest.raises(ConfigurationError, match="one-shot"):
+        runtime.run(chunks)
+    assert runtime.position == 3
+    # A fresh iterator replays from the first chunk: the applied prefix
+    # is skipped as duplicates and the rest lands.
+    runtime.run(iter_chunks(np.arange(100), 10))
+    assert (runtime.position, runtime.duplicates) == (10, 3)
+    plain = FagmsSketch(buckets=64, seed=3)
+    plain.update(np.arange(100))
+    assert np.array_equal(runtime.sketch._state(), plain._state())
 
 
 def test_recover_requires_a_checkpoint(tmp_path):

@@ -10,6 +10,11 @@ except the one case where exactness is genuinely not promised
 where only the summation order differs).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -300,6 +305,30 @@ def test_native_activation_reports_build_failure(monkeypatch):
         native_module._library()
     assert native_module.native_available() is False
     assert native_module.native_build_error() == "cc: not found"
+
+
+def test_native_build_leaves_no_temp_directory(tmp_path):
+    """A fresh process that builds the native library cleans up after it."""
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    process = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "from repro.kernels import native_available; print(native_available())",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert process.returncode == 0, process.stderr
+    # Built or not (no compiler), nothing of the build may stay behind.
+    assert process.stdout.strip() in ("True", "False")
+    assert not list(tmp_path.glob("repro-kernels-*"))
 
 
 # ----------------------------------------------------------------------
