@@ -162,6 +162,21 @@ class LoadShedder:
             )
         return shedder
 
+    def mark(self) -> tuple:
+        """An undo point for :meth:`rewind`: tallies, pending gap, RNG state."""
+        segment, rng_state = self._segments[-1], self._rng.bit_generator.state
+        return segment, segment.seen, segment.kept, self._until_next, rng_state
+
+    def rewind(self, mark: tuple) -> None:
+        """Undo every :meth:`filter` since *mark* (no :meth:`set_p` between).
+
+        The next :meth:`filter` then keeps what the undone ones kept.
+        """
+        segment, seen, kept, until_next, rng_state = mark
+        segment.seen, segment.kept = seen, kept
+        self._until_next = until_next
+        self._rng.bit_generator.state = rng_state
+
     def filter(self, keys) -> np.ndarray:
         """Return the surviving tuples of one chunk, preserving order."""
         keys = np.asarray(keys)

@@ -11,7 +11,9 @@ Semantics:
   head: duplicates (sequence behind the cursor) are skipped *before any
   stateful operator runs*, so a post-recovery replay cannot advance a
   shedder's RNG twice; gaps and count/CRC failures raise
-  :class:`~repro.errors.StreamIntegrityError`.  Faults are accounted
+  :class:`~repro.errors.StreamIntegrityError`.  An envelope whose
+  operator or sink raised resumes, on a re-run, after the operators
+  that completed (see :meth:`Pipeline.run`).  Faults are accounted
   under ``dataplane.chunks.*``.
 * **Bounded-queue backpressure** — with ``queue_depth > 0`` the source
   runs on a producer thread feeding a
@@ -38,7 +40,9 @@ Bit-identity: integer sketch updates are exact, shed stages at
 ``p = 1`` consume no randomness, and duplicates never reach operators —
 so a file-backed pipeline produces counters bit-identical to the
 equivalent :func:`~repro.engine.scan.run_lockstep_scan` (asserted in
-``tests/dataplane``).
+``tests/dataplane``).  A durable engine scan is ``FileSource`` →
+``EngineOperator`` → ``CheckpointSink``; ``docs/DATAPLANE.md`` has its
+resume recipe.
 """
 
 from __future__ import annotations
@@ -164,6 +168,9 @@ class Pipeline:
         self.envelopes_accepted = 0
         self.retunes = 0
         self.last_queue: Optional[BoundedQueue] = None
+        # (sequence, crc32, operators completed, their output) of the
+        # envelope whose delivery raised, until a re-run completes it.
+        self._failed: Optional[tuple] = None
         if retune is None:
             for stage in (*self.operators, *self.sinks):
                 if _retunable(stage):
@@ -224,48 +231,64 @@ class Pipeline:
             ).inc(),
         )
         started = self.clock()
-        envelopes = [envelope]
-        for operator in self.operators:
-            stage_start = self.clock()
-            envelopes = [
-                produced
-                for received in envelopes
-                for produced in operator.process(received)
-            ]
-            if obs.enabled:
-                obs.histogram(
-                    "dataplane.stage.seconds", stage=operator.name
-                ).observe(self.clock() - stage_start)
-                obs.counter(
-                    "dataplane.stage.envelopes", stage=operator.name
-                ).inc(len(envelopes))
-                obs.counter("dataplane.stage.tuples", stage=operator.name).inc(
-                    int(sum(env.count for env in envelopes))
+        stage, envelopes = 0, [envelope]
+        if self._failed is not None:
+            sequence, crc32, stage, envelopes = self._failed
+            if (sequence, crc32) != (envelope.sequence, envelope.crc32):
+                obs.counter("dataplane.chunks.rejected", reason="replay").inc()
+                raise StreamIntegrityError(
+                    f"chunk {envelope.sequence} was re-delivered with another "
+                    "payload than the one whose delivery failed"
                 )
-            if not envelopes:
-                break
-        delivered = 0
-        for produced in envelopes:
-            for sink in self.sinks:
+        try:
+            for operator in self.operators[stage:]:
                 stage_start = self.clock()
-                sink.accept(produced)
+                envelopes = [
+                    produced
+                    for received in envelopes
+                    for produced in operator.process(received)
+                ]
+                stage += 1
                 if obs.enabled:
                     obs.histogram(
-                        "dataplane.stage.seconds", stage=sink.name
+                        "dataplane.stage.seconds", stage=operator.name
                     ).observe(self.clock() - stage_start)
                     obs.counter(
-                        "dataplane.stage.envelopes", stage=sink.name
-                    ).inc()
-            delivered += int(produced.count)
-        elapsed = self.clock() - started
-        if self.governor is not None:
-            proposal = self.governor.propose(
-                self.retune.rate, int(self.retune.last_kept), elapsed
-            )
-            if proposal is not None:
-                self.retune.set_rate(proposal)
-                self.retunes += 1
-                obs.counter("dataplane.rate.retunes").inc()
+                        "dataplane.stage.envelopes", stage=operator.name
+                    ).inc(len(envelopes))
+                    obs.counter(
+                        "dataplane.stage.tuples", stage=operator.name
+                    ).inc(int(sum(env.count for env in envelopes)))
+                if not envelopes:
+                    break
+            delivered = 0
+            for produced in envelopes:
+                for sink in self.sinks:
+                    stage_start = self.clock()
+                    sink.accept(produced)
+                    if obs.enabled:
+                        obs.histogram(
+                            "dataplane.stage.seconds", stage=sink.name
+                        ).observe(self.clock() - stage_start)
+                        obs.counter(
+                            "dataplane.stage.envelopes", stage=sink.name
+                        ).inc()
+                delivered += int(produced.count)
+            elapsed = self.clock() - started
+            if self.governor is not None:
+                proposal = self.governor.propose(
+                    self.retune.rate, int(self.retune.last_kept), elapsed
+                )
+                if proposal is not None:
+                    self.retune.set_rate(proposal)
+                    self.retunes += 1
+                    obs.counter("dataplane.rate.retunes").inc()
+        except BaseException:
+            # Keep what the completed operators produced: a re-run of this
+            # sequence resumes after them instead of applying them twice.
+            self._failed = (envelope.sequence, envelope.crc32, stage, envelopes)
+            raise
+        self._failed = None
         self.position += 1
         self.envelopes_accepted += 1
         self.tuples_in += int(keys.size)
@@ -323,9 +346,12 @@ class Pipeline:
     def run(self) -> PipelineResult:
         """Drive the source to exhaustion; returns this run's summary.
 
-        Re-running after a fault resumes from the retained head cursor —
-        replayed prefixes are skipped as duplicates, which is what makes
-        crash/replay recovery bit-identical to a clean run.
+        Re-running after a fault resumes from the retained head cursor:
+        replayed prefixes are skipped as duplicates.  The envelope whose
+        delivery raised resumes at the first operator that did not
+        complete, and each sink's own cursor skips it where it was
+        already applied, so no stage applies it twice and the re-run is
+        bit-identical to a clean run.
         """
         before_envelopes = self.envelopes_accepted
         before_in = self.tuples_in

@@ -232,22 +232,20 @@ class CheckpointSink(Sink):
         self.payload = payload
         self.every = int(every)
         self.written = 0
-        self._applied = int(start)
         self._dirty = False
 
     def write(self, keys: np.ndarray, envelope: ChunkEnvelope) -> None:
         """Snapshot every *every* envelopes."""
-        self._applied += 1
         self._dirty = True
-        if self._applied % self.every == 0:
-            self.checkpoint()
+        # The cursor advances once this returns; a failed save leaves it
+        # behind, so a re-run retries the save at the same position.
+        if (self.position + 1) % self.every == 0:
+            self.checkpoint(self.position + 1)
 
-    def checkpoint(self):
-        """Write one durable snapshot now; returns its path."""
+    def checkpoint(self, position: int):
+        """Write one snapshot covering *position* envelopes; returns its path."""
         state, arrays = self.payload()
-        path = self.manager.save(
-            position=self._applied, state=state, arrays=arrays
-        )
+        path = self.manager.save(position=position, state=state, arrays=arrays)
         self.written += 1
         self._dirty = False
         return path
@@ -255,7 +253,7 @@ class CheckpointSink(Sink):
     def flush(self) -> None:
         """Final snapshot covering any tail since the last cadence hit."""
         if self._dirty:
-            self.checkpoint()
+            self.checkpoint(self.position)
 
 
 class RegistrySink(Sink):

@@ -9,13 +9,19 @@ frequency moments, join-size correlations — "essentially for free".
 
 :class:`~repro.engine.statistics.OnlineStatisticsEngine` sketches every
 scanned relation with one shared set of hash families;
-:func:`~repro.engine.scan.run_lockstep_scan` is the scan loop, yielding
-an :class:`~repro.engine.snapshot.EngineSnapshot` per checkpoint that
-answers every statistic of the scanned prefixes (self-join, join, point
-frequency, with plug-in intervals).  For the paper's analysis-mode
-intervals, pass a snapshot relation's ``info()`` and the snapshot's
-``averaged_estimators`` to :func:`repro.core.self_join_interval` or
-:func:`repro.core.join_interval` with the exact frequency vectors.
+:func:`~repro.engine.scan.run_lockstep_scan` is the in-memory lockstep
+scan loop, yielding an :class:`~repro.engine.snapshot.EngineSnapshot` per
+checkpoint that answers every statistic of the scanned prefixes
+(self-join, join, point frequency, with plug-in intervals).  A durable
+scan is a :class:`~repro.dataplane.Pipeline` feeding an
+``EngineOperator`` and a ``CheckpointSink`` over
+:meth:`OnlineStatisticsEngine.checkpoint_state`; it resumes from
+:meth:`OnlineStatisticsEngine.from_checkpoint_state`.
+
+For the paper's analysis-mode intervals, pass a snapshot relation's
+``info()`` and the snapshot's ``averaged_estimators`` to
+:func:`repro.core.self_join_interval` or :func:`repro.core.join_interval`
+with the exact frequency vectors.
 """
 
 from .scan import run_lockstep_scan

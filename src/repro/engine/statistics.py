@@ -321,20 +321,6 @@ class OnlineStatisticsEngine:
             engine._relations[name] = scan
         return engine
 
-    def adopt(self, restored: "OnlineStatisticsEngine") -> None:
-        """Take over *restored*'s scan state (checkpoint resume seam).
-
-        Used by :func:`repro.engine.scan.run_lockstep_scan` to swap a
-        freshly-restored engine's state into the engine the caller holds
-        a reference to, without reaching into either engine's internals.
-        The publication cache is reset so the next snapshot re-freezes
-        every relation; the observer attachment is kept.
-        """
-        self._template = restored._template
-        self._relations = restored._relations
-        self._generation = restored._generation
-        self._published = {}
-
     def __repr__(self) -> str:
         scans = ", ".join(
             f"{name}:{state.fraction:.0%}"

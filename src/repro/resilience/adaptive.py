@@ -92,16 +92,23 @@ class AdaptiveSheddingSketcher:
         current rate), keeping the counters unbiased for the full stream.
         At ``p = 1`` the unweighted integer fast path is used, so an
         unshedded adaptive sketcher matches a plain sketch bit for bit.
+        When the sketch update raises, the shedder is rewound first, so a
+        replay of the chunk is shed and tallied exactly once.
         """
         p = self.shedder.p
+        mark = self.shedder.mark()
         kept = self.shedder.filter(keys)
         if kept.size:
-            if p >= 1.0:
-                self.sketch.update(kept)
-            else:
-                self.sketch.update(
-                    kept, np.full(kept.size, 1.0 / p, dtype=np.float64)
-                )
+            try:
+                if p >= 1.0:
+                    self.sketch.update(kept)
+                else:
+                    self.sketch.update(
+                        kept, np.full(kept.size, 1.0 / p, dtype=np.float64)
+                    )
+            except BaseException:
+                self.shedder.rewind(mark)
+                raise
         return int(kept.size)
 
     def set_rate(self, p: float) -> None:

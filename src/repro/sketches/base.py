@@ -161,7 +161,7 @@ class Sketch(abc.ABC):
         self._plan = None
 
     def _bind_state(self, array: np.ndarray) -> None:
-        """Move the current counters into *array* and adopt it as storage."""
+        """Move the current counters into *array* and keep it as storage."""
         values = self._state().copy()
         self._adopt_state(array)
         self._state()[...] = values

@@ -10,6 +10,7 @@ import pytest
 from repro.dataplane import (
     CallbackSink,
     CollectSink,
+    EngineOperator,
     FileSource,
     IterableSource,
     Pipeline,
@@ -20,6 +21,7 @@ from repro.dataplane import (
     SocketSource,
     send_frames,
 )
+from repro.engine import OnlineStatisticsEngine
 from repro.errors import ConfigurationError, StreamIntegrityError
 from repro.observability import Observer
 from repro.resilience import (
@@ -31,6 +33,7 @@ from repro.resilience import (
     make_envelope,
 )
 from repro.sketches import FagmsSketch
+from repro.streams import iter_chunks
 from repro.streams.io import write_stream
 
 
@@ -97,6 +100,124 @@ def test_head_cursor_survives_across_runs():
     assert second.envelopes == 0
     assert second.duplicates == len(chunks)
     assert np.array_equal(collect.keys(), np.concatenate(chunks))
+
+
+def _stateful_stage(kind):
+    """``(operator, state())`` for one stateful operator of each kind."""
+    if kind == "engine":
+        engine = OnlineStatisticsEngine(buckets=64, seed=37)
+        engine.register("r", 100)
+
+        def state():
+            counters = engine.snapshot().relation("r").counters
+            return engine.scanned_tuples("r"), counters
+
+        return EngineOperator(engine, "r"), state
+    if kind == "sketch":
+        sketch = FagmsSketch(64, 3, seed=38)
+        operator = SketchUpdateOperator(sketch)
+        return operator, lambda: (operator.tuples, sketch.counters)
+    operator = ShedOperator(0.5, seed=1)
+    return operator, lambda: (None, operator.shedder.state())
+
+
+def _failing_once_at(sequence):
+    """A sink that raises on *sequence* the first time it sees it."""
+    fired = []
+
+    def write(envelope):
+        if envelope.sequence == sequence and not fired:
+            fired.append(sequence)
+            raise OSError(f"sink failed at chunk {sequence}")
+
+    return CallbackSink(write)
+
+
+@pytest.mark.parametrize("queue_depth", [0, 2])
+@pytest.mark.parametrize("kind", ["engine", "sketch", "shed"])
+def test_rerun_after_a_sink_fault_applies_each_operator_once(kind, queue_depth):
+    def run(fail_at):
+        operator, state = _stateful_stage(kind)
+        collect = CollectSink()
+        sinks = [collect] if fail_at is None else [collect, _failing_once_at(fail_at)]
+        pipeline = Pipeline(
+            IterableSource(list(iter_chunks(np.arange(100) % 17, 10))),
+            operator,
+            sinks=sinks,
+            queue_depth=queue_depth,
+        )
+        if fail_at is not None:
+            with pytest.raises(OSError, match="sink failed"):
+                pipeline.run()
+        result = pipeline.run()
+        return state(), collect.keys(), pipeline, result
+
+    (tuples, stage_state), keys, _, _ = run(None)
+    (rerun_tuples, rerun_state), rerun_keys, pipeline, result = run(3)
+    assert rerun_tuples == tuples
+    if kind == "shed":
+        assert rerun_state == stage_state
+    else:
+        assert tuples == 100
+        assert np.array_equal(rerun_state, stage_state)
+    assert np.array_equal(rerun_keys, keys)
+    assert pipeline.position == 10
+    assert result.duplicates == 3
+    assert pipeline.tuples_in == 100
+
+
+def test_rerun_after_an_operator_fault_resumes_at_that_operator():
+    class FailsOnce(FagmsSketch):
+        failed = False
+
+        def update(self, keys, *args, **kwargs):
+            if not self.failed:
+                self.failed = True
+                raise OSError("sketch failed")
+            return super().update(keys, *args, **kwargs)
+
+    def run(sketch):
+        shed = ShedOperator(0.5, seed=40)
+        pipeline = Pipeline(
+            IterableSource(_chunks(41, count=5)),
+            shed,
+            SketchUpdateOperator(sketch),
+            queue_depth=0,
+        )
+        if isinstance(sketch, FailsOnce):
+            with pytest.raises(OSError, match="sketch failed"):
+                pipeline.run()
+        pipeline.run()
+        return shed.shedder.state(), sketch.counters
+
+    clean_shedder, clean_counters = run(FagmsSketch(64, 3, seed=42))
+    shedder, counters = run(FailsOnce(64, 3, seed=42))
+    assert shedder == clean_shedder  # the shed stage ran once per chunk
+    assert np.array_equal(counters, clean_counters)
+
+
+def test_rerun_rejects_a_different_payload_for_the_failed_chunk():
+    sketch = FagmsSketch(64, 3, seed=39)
+    envelopes = [make_envelope(i, np.arange(10) + i) for i in range(3)]
+    pipeline = Pipeline(
+        IterableSource(envelopes),
+        SketchUpdateOperator(sketch),
+        sinks=[_failing_once_at(1)],
+        queue_depth=0,
+    )
+    with pytest.raises(OSError):
+        pipeline.run()
+    before = sketch.counters.copy()
+    envelopes[1] = make_envelope(1, np.arange(10) + 50)
+    with pytest.raises(StreamIntegrityError, match="re-delivered"):
+        pipeline.run()
+    assert np.array_equal(sketch.counters, before)
+    envelopes[1] = make_envelope(1, np.arange(10) + 1)  # the original again
+    pipeline.run()
+    assert pipeline.position == 3
+    expected = FagmsSketch(64, 3, seed=39)
+    expected.update(np.concatenate([np.arange(10) + i for i in range(3)]))
+    assert np.array_equal(sketch.counters, expected.counters)
 
 
 def test_gap_raises():

@@ -82,38 +82,6 @@ class TestScanObserver:
             "scan.fractions.completed"
         ) == 1
 
-    def test_checkpointed_scan_counts_writes_and_restores(
-        self, observer, relations, tmp_path
-    ):
-        engine = OnlineStatisticsEngine(buckets=256, seed=6, observer=observer)
-        scan = run_lockstep_scan(
-            engine,
-            relations,
-            checkpoints=(0.5, 1.0),
-            checkpoint_dir=tmp_path,
-        )
-        next(scan)  # complete the first fraction, then abandon the scan
-        scan.close()
-        metrics = observer.metrics.snapshot()
-        assert metrics.counter_value("scan.checkpoint.writes") == 1
-
-        resumed_obs = Observer()
-        fresh = OnlineStatisticsEngine(buckets=256, seed=6, observer=resumed_obs)
-        remaining = list(
-            run_lockstep_scan(
-                fresh,
-                relations,
-                checkpoints=(0.5, 1.0),
-                checkpoint_dir=tmp_path,
-                resume=True,
-            )
-        )
-        assert len(remaining) == 1
-        metrics = resumed_obs.metrics.snapshot()
-        assert metrics.counter_value("scan.checkpoint.restores") == 1
-        names = [record.name for record in resumed_obs.tracer.finished]
-        assert "scan.checkpoint.restore" in names
-
 
 class TestRuntimeObserver:
     def _runtime(self, observer, **kwargs) -> StreamRuntime:

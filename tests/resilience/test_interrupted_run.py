@@ -1,12 +1,14 @@
 """End-to-end interrupted-run smoke test: SIGKILL a real process mid-scan.
 
-A child Python process runs the engine's lockstep scan with durable
-checkpoints and is killed — hard, ``SIGKILL``, no cleanup — partway
-through.  The parent then resumes the scan from disk and must end with
-statistics bit-identical to a never-interrupted run.  This is the one
-test where the "crash" is a real process death rather than a simulated
-exception, so it also exercises checkpoint durability across process
-boundaries.  CI runs it in the ``resilience`` job.
+A child Python process runs a durable engine scan, ``FileSource`` →
+``EngineOperator`` → ``CheckpointSink``, and is killed (``SIGKILL``, no
+cleanup) partway through the file.  The parent restores the engine from
+the newest checkpoint with ``OnlineStatisticsEngine.from_checkpoint_state``
+and runs a new pipeline at ``start=latest.position``; the scan must end
+with counters and scanned tuples bit-identical to an uninterrupted run.
+This is the one test where the crash is a real process death rather than
+a simulated exception, so it also exercises checkpoint durability across
+process boundaries.  CI runs it in the ``resilience`` job.
 """
 
 import os
@@ -21,46 +23,63 @@ import numpy as np
 import pytest
 
 import repro
-from repro.engine.scan import run_lockstep_scan
-from repro.engine.statistics import OnlineStatisticsEngine
+from repro.dataplane import CheckpointSink, EngineOperator, FileSource, Pipeline
+from repro.engine import OnlineStatisticsEngine
+from repro.resilience import CheckpointManager
 from repro.streams import zipf_relation
+from repro.streams.io import write_stream
 
-FRACTIONS = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0)
-
-
-def _relations():
-    return {
-        "r": zipf_relation(20_000, 2_000, skew=1.0, seed=31),
-        "s": zipf_relation(12_000, 2_000, skew=0.6, seed=32),
-    }
-
+TUPLES = 20_000
+CHUNK = 1_000
+CHUNKS = TUPLES // CHUNK
+EVERY = 3
+#: The child stops making progress after applying this chunk, so the
+#: kill lands between two cadence hits.
+PARK_AT = 7
 
 CHILD_SCRIPT = textwrap.dedent(
     """
     import sys, time
-    from repro.engine.scan import run_lockstep_scan
-    from repro.engine.statistics import OnlineStatisticsEngine
-    from repro.streams import zipf_relation
+    from repro.dataplane import (
+        CallbackSink, CheckpointSink, EngineOperator, FileSource, Pipeline,
+    )
+    from repro.engine import OnlineStatisticsEngine
 
-    checkpoint_dir = sys.argv[1]
-    relations = {{
-        "r": zipf_relation(20_000, 2_000, skew=1.0, seed=31),
-        "s": zipf_relation(12_000, 2_000, skew=0.6, seed=32),
-    }}
+    path, directory = sys.argv[1], sys.argv[2]
     engine = OnlineStatisticsEngine(buckets=512, seed=9)
-    for snapshot in run_lockstep_scan(
-        engine, relations, checkpoints={fractions!r}, checkpoint_dir=checkpoint_dir
-    ):
-        print("FRACTION-DONE", flush=True)
-        time.sleep(0.25)  # give the parent a window to SIGKILL us
+    engine.register("r", {tuples})
+
+    def progress(envelope):
+        print("CHUNK-DONE", envelope.sequence, flush=True)
+        if envelope.sequence == {park_at}:
+            time.sleep(60)  # wait here for the parent's SIGKILL
+
+    Pipeline(
+        FileSource(path, {chunk}),
+        EngineOperator(engine, "r"),
+        sinks=[
+            CheckpointSink(directory, engine.checkpoint_state, every={every}),
+            CallbackSink(progress),
+        ],
+        queue_depth=0,
+    ).run()
     print("FINISHED", flush=True)
     """
-).format(fractions=FRACTIONS)
+).format(tuples=TUPLES, chunk=CHUNK, every=EVERY, park_at=PARK_AT)
+
+
+def _engine() -> OnlineStatisticsEngine:
+    engine = OnlineStatisticsEngine(buckets=512, seed=9)
+    engine.register("r", TUPLES)
+    return engine
 
 
 @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
 def test_killed_scan_resumes_bit_identically(tmp_path):
-    checkpoint_dir = tmp_path / "scan-ckpts"
+    keys = zipf_relation(TUPLES, 2_000, skew=1.0, seed=31).keys
+    path = tmp_path / "stream.bin"
+    write_stream(path, [keys], 2_000)
+    directory = tmp_path / "scan-ckpts"
     src_root = Path(repro.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -68,24 +87,21 @@ def test_killed_scan_resumes_bit_identically(tmp_path):
     ).rstrip(os.pathsep)
 
     child = subprocess.Popen(
-        [sys.executable, "-c", CHILD_SCRIPT, str(checkpoint_dir)],
+        [sys.executable, "-c", CHILD_SCRIPT, str(path), str(directory)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
         text=True,
     )
     try:
-        # wait for two completed fractions, then kill without any cleanup
-        done = 0
+        # Wait until the child has applied PARK_AT, then kill it hard.
         deadline = time.monotonic() + 60
-        while done < 2:
+        while True:
             line = child.stdout.readline()
             if not line:
-                pytest.fail(
-                    f"child exited early: {child.stderr.read()}"
-                )
-            if "FRACTION-DONE" in line:
-                done += 1
+                pytest.fail(f"child exited early: {child.stderr.read()}")
+            if line.split() == ["CHUNK-DONE", str(PARK_AT)]:
+                break
             assert time.monotonic() < deadline, "child made no progress"
         child.send_signal(signal.SIGKILL)
         child.wait(timeout=30)
@@ -95,29 +111,38 @@ def test_killed_scan_resumes_bit_identically(tmp_path):
             child.wait(timeout=30)
     assert child.returncode == -signal.SIGKILL
 
-    # resume from whatever the dead process left on disk
-    resumed_engine = OnlineStatisticsEngine(buckets=512, seed=9)
-    resumed = list(
-        run_lockstep_scan(
-            resumed_engine,
-            _relations(),
-            checkpoints=FRACTIONS,
-            checkpoint_dir=checkpoint_dir,
-            resume=True,
-        )
+    # Resume from whatever the dead process left on disk.
+    latest = CheckpointManager(directory).latest()
+    assert latest is not None
+    assert 0 < latest.position < CHUNKS
+    engine = OnlineStatisticsEngine.from_checkpoint_state(
+        latest.state, latest.arrays
     )
-    assert 1 <= len(resumed) < len(FRACTIONS)  # some fractions were done
+    assert engine.scanned_tuples("r") == latest.position * CHUNK
+    result = Pipeline(
+        FileSource(path, CHUNK),
+        EngineOperator(engine, "r"),
+        sinks=[
+            CheckpointSink(
+                directory,
+                engine.checkpoint_state,
+                every=EVERY,
+                start=latest.position,
+            )
+        ],
+        queue_depth=0,
+        start=latest.position,
+    ).run()
+    assert result.duplicates == latest.position
+    assert result.envelopes == CHUNKS - latest.position
 
-    # reference: the same scan, never interrupted
-    reference_engine = OnlineStatisticsEngine(buckets=512, seed=9)
-    reference = list(
-        run_lockstep_scan(reference_engine, _relations(), checkpoints=FRACTIONS)
+    # Reference: the same scan, never interrupted.
+    reference = _engine()
+    reference.consume("r", keys)
+    assert engine.scanned_tuples("r") == reference.scanned_tuples("r") == TUPLES
+    resumed, expected = engine.snapshot(), reference.snapshot()
+    assert np.array_equal(
+        resumed.relation("r").counters, expected.relation("r").counters
     )
-    assert resumed[-1].fractions == reference[-1].fractions
-    assert resumed[-1].self_join_sizes == reference[-1].self_join_sizes
-    assert resumed[-1].join_sizes == reference[-1].join_sizes
-    for name in _relations():
-        assert np.array_equal(
-            resumed_engine._relations[name].sketch._state(),
-            reference_engine._relations[name].sketch._state(),
-        )
+    assert resumed.self_join_size("r") == expected.self_join_size("r")
+    assert CheckpointManager(directory).latest().position == CHUNKS

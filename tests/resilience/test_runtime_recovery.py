@@ -147,12 +147,12 @@ def test_gap_in_sequence_raises(stream_chunks):
 
 
 class _FailsOnceAtKey30(FagmsSketch):
-    """Raises once, on the chunk whose first key is 30."""
+    """Raises once, on the (possibly shed) chunk of keys 30 to 39."""
 
     failed = False
 
     def update(self, keys, *args, **kwargs):
-        if not self.failed and int(keys[0]) == 30:
+        if not self.failed and 30 <= int(keys[0]) < 40:
             self.failed = True
             raise RuntimeError("transient sketch failure")
         return super().update(keys, *args, **kwargs)
@@ -175,6 +175,22 @@ def test_rerun_over_the_same_one_shot_iterator_raises():
     plain = FagmsSketch(buckets=64, seed=3)
     plain.update(np.arange(100))
     assert np.array_equal(runtime.sketch._state(), plain._state())
+
+
+def test_failed_update_is_shed_and_tallied_once_on_replay():
+    """The shedder rewinds when the sketch raises, so the replay matches."""
+    clean = StreamRuntime(FagmsSketch(buckets=64, seed=3), p=0.5, seed=1)
+    clean.run(iter_chunks(np.arange(100), 10))
+    flaky = _FailsOnceAtKey30(buckets=64, seed=3)
+    runtime = StreamRuntime(flaky, p=0.5, seed=1)
+    with pytest.raises(RuntimeError, match="transient"):
+        runtime.run(iter_chunks(np.arange(100), 10))
+    assert flaky.failed and runtime.position == 3
+    assert runtime.sketcher.seen == 30
+    runtime.run(iter_chunks(np.arange(100), 10))
+    assert (runtime.sketcher.seen, runtime.sketcher.kept) == (100, clean.sketcher.kept)
+    assert runtime.sketcher.state() == clean.sketcher.state()
+    assert np.array_equal(runtime.sketch._state(), clean.sketch._state())
 
 
 def test_recover_requires_a_checkpoint(tmp_path):

@@ -1,10 +1,9 @@
 """Lockstep scan driver."""
 
-import numpy as np
 import pytest
 
 from repro.engine import OnlineStatisticsEngine, run_lockstep_scan
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.streams import generate_tpch
 
 
@@ -61,35 +60,3 @@ def test_rejects_partially_scanned_engine(tpch):
     engine.consume("orders", tpch.orders.keys[:10])
     with pytest.raises(ConfigurationError):
         next(iter(run_lockstep_scan(engine, {"orders": tpch.orders})))
-
-
-def test_rejected_resume_leaves_engine_untouched(tmp_path, tpch):
-    relations = {"orders": tpch.orders}
-    writer = OnlineStatisticsEngine(buckets=256, seed=67)
-    list(
-        run_lockstep_scan(
-            writer, relations, checkpoints=(0.25, 0.5, 0.75), checkpoint_dir=tmp_path
-        )
-    )
-    engine = OnlineStatisticsEngine(buckets=256, seed=68)
-    engine.register("lineitem", len(tpch.lineitem))
-    engine.consume("lineitem", tpch.lineitem.keys[:100])
-    before = engine.snapshot()
-    # The checkpoint completed 3 fractions; a 2-fraction resume is rejected.
-    with pytest.raises(CheckpointError):
-        next(
-            run_lockstep_scan(
-                engine,
-                relations,
-                checkpoints=(0.5, 1.0),
-                checkpoint_dir=tmp_path,
-                resume=True,
-            )
-        )
-    after = engine.snapshot()
-    assert engine.relations == ("lineitem",)
-    assert engine.generation == before.generation == 1
-    assert after.template_header == before.template_header
-    assert np.array_equal(
-        after.relation("lineitem").counters, before.relation("lineitem").counters
-    )
