@@ -108,10 +108,6 @@ class DtypeSafetyRule(Rule):
         "src/repro/sampling",
         "src/repro/kernels",
     )
-    # The native backend's ctypes buffer layer allocates uint64 hash and
-    # int8 sign matrices (API dtypes, never accumulators); its counter
-    # buffers stay float64, which the equivalence tests pin.
-    default_exclude = ("src/repro/kernels/native.py",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         imports = ctx.imports

@@ -1,10 +1,12 @@
-"""Pipeline operators: envelope-in, envelopes-out transforms.
+"""Pipeline operators: envelope-in, envelope-out transforms.
 
 Operators are the middle of a :class:`~repro.dataplane.pipeline.Pipeline`.
 Each receives one verified :class:`~repro.resilience.runtime.ChunkEnvelope`
-and yields zero or more envelopes downstream; transforms that change the
-payload *reseal* it (fresh count + CRC32, same sequence number) so the
-exactly-once cursor and integrity checks keep working stage to stage.
+and returns exactly one envelope with the same sequence number, so every
+sink's exactly-once cursor sees each sequence.  Transforms that change
+the payload *reseal* it (fresh count + CRC32, same sequence number) — an
+operator that drops every key returns an empty envelope, not none — so
+the integrity checks keep working stage to stage.
 
 Shipped operators:
 
@@ -19,8 +21,6 @@ Shipped operators:
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -39,14 +39,14 @@ __all__ = [
 class Operator:
     """Base class for pipeline operators.
 
-    :meth:`process` maps one envelope to an iterable of envelopes.
+    :meth:`process` maps one envelope to one envelope with its sequence.
     """
 
     #: Stage label used in ``dataplane.stage.*`` metrics.
     name = "operator"
 
-    def process(self, envelope: ChunkEnvelope) -> Iterable[ChunkEnvelope]:
-        """Transform one envelope into zero or more envelopes."""
+    def process(self, envelope: ChunkEnvelope) -> ChunkEnvelope:
+        """Transform one envelope into one envelope with the same sequence."""
         raise NotImplementedError
 
 
@@ -68,13 +68,12 @@ class ShedOperator(Operator):
     def __init__(self, p: float = 1.0, seed: SeedLike = None) -> None:
         self.shedder = LoadShedder(p, seed)
 
-    def process(self, envelope: ChunkEnvelope) -> Iterator[ChunkEnvelope]:
+    def process(self, envelope: ChunkEnvelope) -> ChunkEnvelope:
         """Shed the batch; pass through untouched at ``p = 1``."""
         survivors = self.shedder.filter(envelope.keys)
         if self.shedder.p >= 1.0:
-            yield envelope
-        else:
-            yield make_envelope(envelope.sequence, survivors)
+            return envelope
+        return make_envelope(envelope.sequence, survivors)
 
 
 class SketchUpdateOperator(Operator):
@@ -92,13 +91,13 @@ class SketchUpdateOperator(Operator):
         self.sketch = sketch
         self.tuples = 0
 
-    def process(self, envelope: ChunkEnvelope) -> Iterator[ChunkEnvelope]:
+    def process(self, envelope: ChunkEnvelope) -> ChunkEnvelope:
         """Update the sketch with the batch, then forward the envelope."""
         keys = np.asarray(envelope.keys)
         if keys.size:
             self.sketch.update(keys)
         self.tuples += int(keys.size)
-        yield envelope
+        return envelope
 
 
 class EngineOperator(Operator):
@@ -116,10 +115,10 @@ class EngineOperator(Operator):
         self.relation = str(relation)
         self.tuples = 0
 
-    def process(self, envelope: ChunkEnvelope) -> Iterator[ChunkEnvelope]:
+    def process(self, envelope: ChunkEnvelope) -> ChunkEnvelope:
         """Consume the batch into the engine, then forward the envelope."""
         keys = np.asarray(envelope.keys)
         if keys.size:
             self.engine.consume(self.relation, keys)
         self.tuples += int(keys.size)
-        yield envelope
+        return envelope

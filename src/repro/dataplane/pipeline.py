@@ -231,9 +231,9 @@ class Pipeline:
             ).inc(),
         )
         started = self.clock()
-        stage, envelopes = 0, [envelope]
+        stage, current = 0, envelope
         if self._failed is not None:
-            sequence, crc32, stage, envelopes = self._failed
+            sequence, crc32, stage, current = self._failed
             if (sequence, crc32) != (envelope.sequence, envelope.crc32):
                 obs.counter("dataplane.chunks.rejected", reason="replay").inc()
                 raise StreamIntegrityError(
@@ -243,11 +243,22 @@ class Pipeline:
         try:
             for operator in self.operators[stage:]:
                 stage_start = self.clock()
-                envelopes = [
-                    produced
-                    for received in envelopes
-                    for produced in operator.process(received)
-                ]
+                produced = operator.process(current)
+                if (
+                    not isinstance(produced, ChunkEnvelope)
+                    or produced.sequence != envelope.sequence
+                ):
+                    got = (
+                        f"chunk {produced.sequence}"
+                        if isinstance(produced, ChunkEnvelope)
+                        else type(produced).__name__
+                    )
+                    raise StreamIntegrityError(
+                        f"operator stage {stage} ({operator.name!r}) returned "
+                        f"{got} for chunk {envelope.sequence}; an operator "
+                        "returns one envelope with the sequence it received"
+                    )
+                current = produced
                 stage += 1
                 if obs.enabled:
                     obs.histogram(
@@ -255,25 +266,19 @@ class Pipeline:
                     ).observe(self.clock() - stage_start)
                     obs.counter(
                         "dataplane.stage.envelopes", stage=operator.name
-                    ).inc(len(envelopes))
+                    ).inc()
                     obs.counter(
                         "dataplane.stage.tuples", stage=operator.name
-                    ).inc(int(sum(env.count for env in envelopes)))
-                if not envelopes:
-                    break
-            delivered = 0
-            for produced in envelopes:
-                for sink in self.sinks:
-                    stage_start = self.clock()
-                    sink.accept(produced)
-                    if obs.enabled:
-                        obs.histogram(
-                            "dataplane.stage.seconds", stage=sink.name
-                        ).observe(self.clock() - stage_start)
-                        obs.counter(
-                            "dataplane.stage.envelopes", stage=sink.name
-                        ).inc()
-                delivered += int(produced.count)
+                    ).inc(int(current.count))
+            for sink in self.sinks:
+                stage_start = self.clock()
+                sink.accept(current)
+                if obs.enabled:
+                    obs.histogram(
+                        "dataplane.stage.seconds", stage=sink.name
+                    ).observe(self.clock() - stage_start)
+                    obs.counter("dataplane.stage.envelopes", stage=sink.name).inc()
+            delivered = int(current.count)
             elapsed = self.clock() - started
             if self.governor is not None:
                 proposal = self.governor.propose(
@@ -286,7 +291,7 @@ class Pipeline:
         except BaseException:
             # Keep what the completed operators produced: a re-run of this
             # sequence resumes after them instead of applying them twice.
-            self._failed = (envelope.sequence, envelope.crc32, stage, envelopes)
+            self._failed = (envelope.sequence, envelope.crc32, stage, current)
             raise
         self._failed = None
         self.position += 1

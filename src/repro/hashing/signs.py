@@ -34,7 +34,7 @@ import numpy as np
 from ..errors import ConfigurationError, DomainError
 from ..kernels import get_backend
 from ..rng import SeedLike, as_generator
-from .families import MERSENNE_P31, PolynomialHashFamily, _as_uint64, _check_keys
+from .families import PolynomialHashFamily, _as_uint64, _check_keys
 
 __all__ = ["SignFamily", "FourWiseSignFamily", "EH3SignFamily"]
 
@@ -168,8 +168,3 @@ class EH3SignFamily(SignFamily):
         linear = np.bitwise_count(x & self._seeds[row]).astype(np.uint64) & np.uint64(1)
         bit = self._s0[row] ^ linear ^ nonlinear
         return (bit.astype(np.int8) << 1) - np.int8(1)
-
-
-def _unused_prime_guard() -> int:  # pragma: no cover - documentation aid
-    """Anchor the key-space contract shared with :mod:`.families`."""
-    return MERSENNE_P31

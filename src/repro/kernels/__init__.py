@@ -22,9 +22,11 @@ Three backends register themselves at import time:
   ``rows`` Python-level ``np.add.at`` calls.  Unweighted ±1 updates
   avoid float weights entirely by counting into sign-split slots
   (exact integer arithmetic).
-* :mod:`~repro.kernels.native` — a small C library compiled on demand
-  with the system compiler; fuses each hashing primitive into a single
-  loop that touches every key once.  Falls back cleanly (stays
+* :mod:`~repro.kernels.native` — the fused update compiled on demand
+  with the system compiler: one C loop per sketch hashes and scatters
+  each key while it sits in a register.  Hashing, ``gather`` and the
+  sign reductions are the numpy backend's, and the scatter for entries
+  it replays is the reference backend's.  Falls back cleanly (stays
   registered, raises on activation) when no compiler is available.
 * :mod:`~repro.kernels.reference` — the legacy per-row ``np.add.at``
   and exact-``%`` hashing path, kept as the behavioural baseline the

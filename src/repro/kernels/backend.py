@@ -101,10 +101,10 @@ class KernelBackend(abc.ABC):
 
     # ------------------------------------------------------------------
     # Hashing stage.  The polynomial families in :mod:`repro.hashing`
-    # route their row-batched evaluation through these hooks, so a
-    # compiled backend can fuse the whole Horner loop into one pass.
-    # The base implementations delegate to the vectorized numpy helpers
-    # (lazy imports: hashing imports this module at load time).
+    # route their row-batched evaluation through these hooks.  The base
+    # implementations delegate to the vectorized numpy helpers (lazy
+    # imports: hashing imports this module at load time); only the
+    # reference backend overrides them, with its legacy per-row path.
     # ------------------------------------------------------------------
 
     def polynomial_mod_p(

@@ -1,24 +1,24 @@
-"""The native kernel backend: a small C library compiled on demand.
+"""The native kernel backend: the fused update compiled on demand.
 
-The numpy backend is bound by memory traffic — the lazily-reduced Horner
-evaluation is ~8 full passes over the batch for the bucket hash and ~21
-for the 4-wise sign hash, each reading and writing a ``(rows, n)``
-uint64 matrix.  This backend fuses every one of those passes into a
-single loop per primitive: hash, reduce, and emit in registers, touching
-each key once.  On a single core that is worth another ~3× over the
-vectorized numpy path for F-AGMS updates.
+This backend is the reference backend's arithmetic with the update path
+compiled.  For each sketch kind with polynomial hashing, one C kernel
+computes a key's bucket index and ±1 sign while the key sits in a
+register and scatters at once, so the ``(rows, n)`` index and sign
+matrices the numpy path materializes (and re-reads) never exist — the
+one-pass batching :mod:`repro.kernels.fused` credits to arXiv
+1709.04048.  There are three: F-AGMS (bucket and fourwise sign),
+Count-Min (bucket only) and unweighted AGMS (per-row ±1 sums counted in
+registers).  The kernels also accept ``int32`` / ``uint32`` keys
+directly (widened block-wise in L1), halving key traffic for narrow
+domains.  Every sketch's ``update()`` is a one-entry plan, so this is
+the native update path.
 
-On top of the per-primitive kernels this backend implements the fused
-multi-sketch entry point (:mod:`repro.kernels.fused`) entirely in C:
-per sketch, one loop computes bucket index and ±1 sign for a key while
-it sits in a register and scatters immediately — the ``(rows, n)``
-index/sign matrices that the separate path materializes (and re-reads)
-through numpy never exist.  The unweighted AGMS row sums reduce in
-registers too, eliminating the numpy int8→float64 reduction that made
-AGMS the per-sketch straggler.  Fused kernels also accept ``int32`` /
-``uint32`` keys directly (widened block-wise in L1), halving key
-traffic for narrow domains.  Every sketch's ``update()`` is a one-entry
-plan, so this is the native update path.
+Everything else is borrowed.  Hashing, ``gather`` and the AGMS sign
+reductions come from :class:`NumpyKernelBackend`, whose values are the
+same on every backend.  The entries :meth:`~NativeKernelBackend.fused_update`
+cannot run in C — EH3-signed sketches and the weighted AGMS reduction —
+are replayed through the separate-path primitives, and their scatter is
+:class:`ReferenceKernelBackend`'s per-row ``np.add.at``.
 
 Each plan's calls are bound once, at its first native update: the C
 entry point and its constant pointer arguments (hash coefficients,
@@ -40,17 +40,15 @@ when activated) and :func:`native_available` reports ``False`` so tests
 and benchmarks can skip it.
 
 Bit-identity: the C code computes the *canonical* residue mod
-``p = 2³¹ − 1`` with the same fold-and-subtract schedule the numpy path
-uses, buckets with the same power-of-two mask (and Lemire's exact
-mul-shift modulus otherwise), and accumulates scatter deltas element by
-element in stream order — the same order as the reference backend's
-``np.add.at`` — so counters match the other backends bit for bit, for
-*any* weights, not just integer-valued ones.
-
-Only the polynomial (fourwise/bucket) hashing primitives are compiled;
-the EH3 sign family keeps its vectorized numpy path,
-which this backend inherits from :class:`NumpyKernelBackend` (the fused
-path falls back to the replayed primitives for such entries).
+``p = 2³¹ − 1`` — the value every backend's hash families produce —
+buckets with the same power-of-two mask (and Lemire's exact mul-shift
+modulus otherwise), and accumulates scatter deltas element by element
+in stream order, the order of the reference backend's ``np.add.at``.
+With that scatter borrowed for the replayed entries too, every native
+counter matches the reference backend bit for bit, for *any* weights,
+not just integer-valued ones.  (The numpy backend's ``bincount``
+regroups the additions per bucket, so its weighted float sums may
+differ in the last bits.)
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ import ctypes
 import os
 import subprocess
 import tempfile
-from ctypes import POINTER, c_double, c_int8, c_int64, c_uint64, c_void_p
+from ctypes import POINTER, c_double, c_int64, c_uint64, c_void_p
 from pathlib import Path
 from typing import Optional
 
@@ -68,6 +66,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from .backend import register_backend
 from .numpy_backend import NumpyKernelBackend
+from .reference import ReferenceKernelBackend
 
 __all__ = [
     "NativeKernelBackend",
@@ -106,48 +105,12 @@ static inline uint64_t step31(uint64_t acc, uint64_t x, uint64_t c) {
 static inline uint64_t horner31_k2(const uint64_t *c, uint64_t x) {
     return canon31(step31(c[0], x, c[1]));
 }
-static inline uint64_t horner31_k3(const uint64_t *c, uint64_t x) {
-    return canon31(step31(step31(c[0], x, c[1]), x, c[2]));
-}
 static inline uint64_t horner31_k4(const uint64_t *c, uint64_t x) {
     return canon31(step31(step31(step31(c[0], x, c[1]), x, c[2]), x, c[3]));
 }
 
-/* Generic degree: two folds per step keep the accumulator bounded for
- * any k (invariant: acc <= 2^31 + 3 at the top of each iteration). */
-static inline uint64_t horner31_gen(const uint64_t *c, int64_t k, uint64_t x) {
-    uint64_t acc = c[0];
-    int64_t j;
-    for (j = 1; j < k; j++) {
-        acc = fold31(fold31(acc * x + c[j]));
-    }
-    return canon31(acc);
-}
-
-/* One row's polynomial over a block of keys, dispatched once on k. */
-static void poly_block(const uint64_t *c, int64_t k, const uint64_t *keys,
-                       int64_t n, uint64_t *out) {
-    int64_t i;
-    switch (k) {
-    case 1:
-        for (i = 0; i < n; i++) out[i] = c[0];
-        break;
-    case 2:
-        for (i = 0; i < n; i++) out[i] = horner31_k2(c, keys[i]);
-        break;
-    case 3:
-        for (i = 0; i < n; i++) out[i] = horner31_k3(c, keys[i]);
-        break;
-    case 4:
-        for (i = 0; i < n; i++) out[i] = horner31_k4(c, keys[i]);
-        break;
-    default:
-        for (i = 0; i < n; i++) out[i] = horner31_gen(c, k, keys[i]);
-    }
-}
-
-/* Hash values land in an L1-resident scratch block, the cheap post-op
- * (mask / modulus / parity) streams out of it. */
+/* Keys run in blocks: a block's widened keys, bucket indices and signs
+ * stay in L1 until its scatter has read them. */
 #define BLOCK 2048
 
 /* Fused entry points take keys as 8-byte canonical uint64 or, on the
@@ -167,96 +130,16 @@ static inline const uint64_t *load_keys(const void *keys, int64_t kwidth,
     return buf;
 }
 
-void repro_poly_mod_p(const uint64_t *coeffs, int64_t rows, int64_t k,
-                      const uint64_t *keys, int64_t n, uint64_t *out) {
-    for (int64_t r = 0; r < rows; r++) {
-        poly_block(coeffs + r * k, k, keys, n, out + r * n);
-    }
-}
-
-void repro_bucket_indices(const uint64_t *coeffs, int64_t rows, int64_t k,
-                          const uint64_t *keys, int64_t n, int64_t buckets,
-                          int64_t *out) {
-    uint64_t b = (uint64_t)buckets;
-    int pow2 = (b & (b - 1)) == 0;
-    uint64_t mask = b - 1;
-    /* Lemire's exact mul-shift modulus: for 32-bit h and b,
-     * h % b == (uint64)(((__uint128_t)(h * M) * b) >> 64)
-     * with M = 2^64 / b rounded up.  Both operands are < 2^31. */
-    uint64_t M = UINT64_MAX / b + 1;
-    for (int64_t r = 0; r < rows; r++) {
-        const uint64_t *c = coeffs + r * k;
-        int64_t *o = out + r * n;
-        uint64_t buf[BLOCK];
-        for (int64_t start = 0; start < n; start += BLOCK) {
-            int64_t m = n - start < BLOCK ? n - start : BLOCK;
-            int64_t i;
-            poly_block(c, k, keys + start, m, buf);
-            if (pow2) {
-                for (i = 0; i < m; i++) o[start + i] = (int64_t)(buf[i] & mask);
-            } else {
-                for (i = 0; i < m; i++) {
-                    uint64_t low = buf[i] * M;
-                    o[start + i] =
-                        (int64_t)((uint64_t)(((__uint128_t)low * b) >> 64));
-                }
-            }
-        }
-    }
-}
-
-void repro_parity_signs(const uint64_t *coeffs, int64_t rows, int64_t k,
-                        const uint64_t *keys, int64_t n, int8_t *out) {
-    for (int64_t r = 0; r < rows; r++) {
-        const uint64_t *c = coeffs + r * k;
-        int8_t *o = out + r * n;
-        uint64_t buf[BLOCK];
-        for (int64_t start = 0; start < n; start += BLOCK) {
-            int64_t m = n - start < BLOCK ? n - start : BLOCK;
-            poly_block(c, k, keys + start, m, buf);
-            for (int64_t i = 0; i < m; i++) {
-                o[start + i] = (int8_t)(((buf[i] & 1) << 1) - 1);
-            }
-        }
-    }
-}
-
-void repro_scatter(double *counters, int64_t rows, int64_t buckets,
-                   const int64_t *indices, int64_t n, const double *weights) {
-    for (int64_t r = 0; r < rows; r++) {
-        double *c = counters + r * buckets;
-        const int64_t *idx = indices + r * n;
-        int64_t i;
-        if (weights) {
-            for (i = 0; i < n; i++) c[idx[i]] += weights[i];
-        } else {
-            for (i = 0; i < n; i++) c[idx[i]] += 1.0;
-        }
-    }
-}
-
-void repro_signed_scatter(double *counters, int64_t rows, int64_t buckets,
-                          const int64_t *indices, const int8_t *signs,
-                          int64_t n, const double *weights) {
-    for (int64_t r = 0; r < rows; r++) {
-        double *c = counters + r * buckets;
-        const int64_t *idx = indices + r * n;
-        const int8_t *s = signs + r * n;
-        int64_t i;
-        if (weights) {
-            for (i = 0; i < n; i++) c[idx[i]] += (double)s[i] * weights[i];
-        } else {
-            for (i = 0; i < n; i++) c[idx[i]] += (double)s[i];
-        }
-    }
-}
-
 /* ------------------------------------------------------------------
- * Fused multi-sketch kernels: hash and accumulate per key while it is
- * in a register — no (rows, n) index/sign matrices are materialized.
- * Each matches the separate path bit for bit: same horner31_k2/_k4
- * residues, same pow2/Lemire bucket reduction, same per-row stream
- * order of the scatter accumulation.
+ * Fused kernels: hash and accumulate per key while it is in a register
+ * — no (rows, n) index/sign matrices are materialized.  Each matches
+ * the reference backend bit for bit: canonical residues, bucket index
+ * h % buckets, and the per-row stream order of its np.add.at scatter.
+ *
+ * Buckets: a mask when the count is a power of two, else Lemire's exact
+ * mul-shift modulus — for 32-bit h and b,
+ * h % b == (uint64)(((__uint128_t)(h * M) * b) >> 64)
+ * with M = 2^64 / b rounded up.  Both operands are < 2^31.
  * ------------------------------------------------------------------ */
 
 /* Unweighted AGMS: per row, sum(+/-1 signs) == 2 * #odd - n, counted in
@@ -365,7 +248,6 @@ void repro_fused_unsigned(const uint64_t *bcoeffs, int64_t rows,
 
 _U64P = POINTER(c_uint64)
 _I64P = POINTER(c_int64)
-_I8P = POINTER(c_int8)
 _F64P = POINTER(c_double)
 
 _lib: Optional[ctypes.CDLL] = None
@@ -374,20 +256,6 @@ _build_error: Optional[str] = None
 
 def _declare(lib: ctypes.CDLL) -> None:
     """Attach argtypes so ctypes checks the call signatures."""
-    lib.repro_poly_mod_p.argtypes = [_U64P, c_int64, c_int64, _U64P, c_int64, _U64P]
-    lib.repro_poly_mod_p.restype = None
-    lib.repro_bucket_indices.argtypes = [
-        _U64P, c_int64, c_int64, _U64P, c_int64, c_int64, _I64P,
-    ]
-    lib.repro_bucket_indices.restype = None
-    lib.repro_parity_signs.argtypes = [_U64P, c_int64, c_int64, _U64P, c_int64, _I8P]
-    lib.repro_parity_signs.restype = None
-    lib.repro_scatter.argtypes = [_F64P, c_int64, c_int64, _I64P, c_int64, _F64P]
-    lib.repro_scatter.restype = None
-    lib.repro_signed_scatter.argtypes = [
-        _F64P, c_int64, c_int64, _I64P, _I8P, c_int64, _F64P,
-    ]
-    lib.repro_signed_scatter.restype = None
     lib.repro_fused_agms.argtypes = [
         _U64P, c_int64, c_void_p, c_int64, c_int64, _I64P,
     ]
@@ -519,7 +387,7 @@ def _bind_entry(lib: ctypes.CDLL, entry):
         return run
     # Unweighted AGMS: per-row ±1 sums counted in registers.  The int64
     # count is exact, so adding it to the float64 counters matches the
-    # separate sign_sum path bit for bit.
+    # replayed sign_sum bit for bit.
     kernel = lib.repro_fused_agms
     rowsums = np.empty(rows, dtype=np.int64)
     out = rowsums.ctypes.data_as(_I64P)
@@ -532,11 +400,12 @@ def _bind_entry(lib: ctypes.CDLL, entry):
 
 
 class NativeKernelBackend(NumpyKernelBackend):
-    """Compiled single-pass hashing, scatter, and fused-update primitives.
+    """The compiled fused update over the reference backend's arithmetic.
 
-    Inherits the numpy implementations for everything it does not
-    accelerate (gather, AGMS sign reductions, the EH3 family).
-    Activate with ``set_backend("native")`` or
+    Hashing, ``gather`` and the AGMS sign reductions are the numpy
+    backend's; the scatter for the entries :meth:`fused_update` replays
+    is the reference backend's, which adds in the C kernels' stream
+    order.  Activate with ``set_backend("native")`` or
     ``REPRO_KERNEL_BACKEND=native``; activation raises
     :class:`~repro.errors.ConfigurationError` when no C compiler is
     available (see :func:`native_available`).
@@ -548,119 +417,21 @@ class NativeKernelBackend(NumpyKernelBackend):
     #: :func:`repro.kernels.fused.fused_update`).
     fused_accepts_int32 = True
 
-    # REP002 note: the uint64/int8 buffers below are hash values and ±1
-    # signs, never accumulators — counters stay float64 throughout.
-
-    def polynomial_mod_p(
-        self, coefficients: np.ndarray, keys: np.ndarray
-    ) -> np.ndarray:
-        """Fused Horner over all rows in one C pass."""
-        rows, k = coefficients.shape
-        out = np.empty((rows, keys.size), dtype=np.uint64)
-        if keys.size:
-            _library().repro_poly_mod_p(
-                _u64(np.ascontiguousarray(coefficients)),
-                rows,
-                k,
-                _u64(np.ascontiguousarray(keys)),
-                keys.size,
-                _u64(out),
-            )
-        return out
-
-    def bucket_indices(
-        self, coefficients: np.ndarray, keys: np.ndarray, buckets: int
-    ) -> np.ndarray:
-        """Fused Horner + ``mod buckets`` in one C pass."""
-        rows, k = coefficients.shape
-        out = np.empty((rows, keys.size), dtype=np.int64)
-        if keys.size:
-            _library().repro_bucket_indices(
-                _u64(np.ascontiguousarray(coefficients)),
-                rows,
-                k,
-                _u64(np.ascontiguousarray(keys)),
-                keys.size,
-                buckets,
-                out.ctypes.data_as(_I64P),
-            )
-        return out
-
-    def parity_signs(
-        self, coefficients: np.ndarray, keys: np.ndarray
-    ) -> np.ndarray:
-        """Fused Horner + parity map in one C pass."""
-        rows, k = coefficients.shape
-        out = np.empty((rows, keys.size), dtype=np.int8)
-        if keys.size:
-            _library().repro_parity_signs(
-                _u64(np.ascontiguousarray(coefficients)),
-                rows,
-                k,
-                _u64(np.ascontiguousarray(keys)),
-                keys.size,
-                out.ctypes.data_as(_I8P),
-            )
-        return out
-
-    def scatter_add(
-        self,
-        counters: np.ndarray,
-        indices: np.ndarray,
-        weights: Optional[np.ndarray] = None,
-    ) -> None:
-        """Element-wise accumulation in stream order (same as ``np.add.at``)."""
-        rows, buckets = counters.shape
-        n = indices.shape[1]
-        if n == 0:
-            return
-        _library().repro_scatter(
-            _counter_pointer(counters),
-            rows,
-            buckets,
-            np.ascontiguousarray(indices).ctypes.data_as(_I64P),
-            n,
-            None
-            if weights is None
-            else np.ascontiguousarray(weights).ctypes.data_as(_F64P),
-        )
-
-    def signed_scatter_add(
-        self,
-        counters: np.ndarray,
-        indices: np.ndarray,
-        signs: np.ndarray,
-        weights: Optional[np.ndarray] = None,
-    ) -> None:
-        """Element-wise signed accumulation in stream order."""
-        rows, buckets = counters.shape
-        n = indices.shape[1]
-        if n == 0:
-            return
-        _library().repro_signed_scatter(
-            _counter_pointer(counters),
-            rows,
-            buckets,
-            np.ascontiguousarray(indices).ctypes.data_as(_I64P),
-            np.ascontiguousarray(signs).ctypes.data_as(_I8P),
-            n,
-            None
-            if weights is None
-            else np.ascontiguousarray(weights).ctypes.data_as(_F64P),
-        )
+    scatter_add = ReferenceKernelBackend.scatter_add
+    signed_scatter_add = ReferenceKernelBackend.signed_scatter_add
 
     def fused_update(self, plan, keys: np.ndarray, weights=None) -> None:
         """Per-sketch single-pass C kernels over one prepared key batch.
 
         Polynomial-family entries run fully in C (no intermediate
         index/sign matrices); EH3-signed entries and the weighted AGMS
-        reduction fall back to the replayed separate-path primitives
-        (C hashing + the numpy sign reductions), keeping every entry
-        bit-identical to that replay.  Each entry's kernel and constant
-        pointer arguments are bound at the plan's first native use
-        (:func:`_bind_entry`) and cached on it as ``_native_cache`` —
-        as the numpy backend caches its stacking layout — so a chunk
-        converts only its key and weight addresses.
+        reduction are replayed through the separate-path primitives
+        (numpy hashing and sign reductions, the reference scatter),
+        which every C kernel matches bit for bit.  Each entry's kernel
+        and constant pointer arguments are bound at the plan's first
+        native use (:func:`_bind_entry`) and cached on it as
+        ``_native_cache`` — as the numpy backend caches its stacking
+        layout — so a chunk converts only its key and weight addresses.
         """
         calls = getattr(plan, "_native_cache", None)
         if calls is None:
@@ -670,7 +441,8 @@ class NativeKernelBackend(NumpyKernelBackend):
         n = keys.size
         kwidth = keys.dtype.itemsize
         if kwidth not in (4, 8):
-            keys = keys.astype(np.uint64)
+            # Hash keys, not an accumulator: the C side reads 4 or 8 bytes.
+            keys = keys.astype(np.uint64)  # repro: noqa(REP002)
             kwidth = 8
         key_address = keys.ctypes.data
         weight_address = None
@@ -684,14 +456,15 @@ class NativeKernelBackend(NumpyKernelBackend):
                 run(key_address, kwidth, n, weight_address)
                 continue
             if wide is None:
-                # Canonical uint64 view for the numpy-path fallbacks,
+                # Canonical uint64 view for the replayed entries,
                 # built at most once per call.
                 if keys.dtype == np.uint64:
                     wide = keys
                 elif keys.dtype == np.int64:
                     wide = keys.view(np.uint64)
                 else:
-                    wide = keys.astype(np.uint64)
+                    # Hash keys, not an accumulator.
+                    wide = keys.astype(np.uint64)  # repro: noqa(REP002)
             entry.replay(self, wide, weights)
 
 

@@ -76,6 +76,7 @@ from .worker import (
     PartialUpdateTask,
     ShardResult,
     ShardTask,
+    run_dispatch,
     run_partial_update,
     run_shard,
 )
@@ -451,7 +452,12 @@ def run_sharded_sketch(
     deadline:
         Seconds a dispatch may go without progress (heartbeat ticks over
         a process pool, wall clock otherwise) before the supervisor
-        abandons it as hung and retries; consumes a retry attempt.  A
+        abandons it as hung and retries; consumes a retry attempt.  On a
+        process pool the clock starts when a worker starts the dispatch,
+        so a shard queued behind busy workers is not culled while the
+        run progresses; once abandoned hangs hold every worker, the
+        queued shards expire one deadline after the run's last progress
+        (see :class:`~repro.resilience.distributed.ShardSupervisor`).  A
         running task cannot be cancelled, so when an abandoned dispatch
         is still running once the shards are settled, the pool's worker
         processes are recycled (:meth:`~.pool.WorkerPool.recycle`).
@@ -544,11 +550,14 @@ def run_sharded_sketch(
             progress = None
             if beat >= 0:
                 progress = partial(_read_heartbeat, heartbeat_block.array, beat)
-            handle = _DispatchHandle(pool.submit(_worker, task), progress, slot)
+            handle = _DispatchHandle(
+                pool.submit(run_dispatch, _worker, task), progress, slot
+            )
             dispatched.append(handle)
             return handle
 
         try:
+            segments = []
             if use_shm:
                 spares = min(8, plan.shards * max_retries) if supervised else 0
                 with obs.span("parallel.shm.setup", shards=plan.shards):
@@ -558,12 +567,15 @@ def run_sharded_sketch(
                         (plan.shards + spares,) + state_shape, np.float64
                     )
                 spare_slots = list(range(plan.shards, plan.shards + spares))
-                segments = [key_block, counter_block]
-                if supervised and not pool.inline:
-                    heartbeat_block = SharedBlock.create(
-                        (plan.shards * (1 + max_retries),), np.int64
-                    )
-                    segments.append(heartbeat_block)
+                segments += [key_block, counter_block]
+            if supervised and not pool.inline:
+                # Heartbeats cross the process boundary whatever carries
+                # the keys; an inline dispatch is done before it is seen.
+                heartbeat_block = SharedBlock.create(
+                    (plan.shards * (1 + max_retries),), np.int64
+                )
+                segments.append(heartbeat_block)
+            if segments:
                 obs.counter("parallel.shm.segments").inc(len(segments))
                 obs.counter("parallel.shm.bytes").inc(
                     sum(segment.nbytes for segment in segments)

@@ -168,17 +168,30 @@ class WorkerPool:
 
         A task that is already running cannot be cancelled, and
         :meth:`close` waits for it, so a hung task abandoned by its caller
-        would hold the pool until it ends.  Its futures fail with
-        ``BrokenProcessPool``.  Inline pools have nothing to kill.
+        would hold the pool until it ends.  Queued tasks are cancelled and
+        running ones fail with ``BrokenProcessPool``.  Inline pools have
+        nothing to kill.
         """
         if self._executor is None:
             return
         # Python before 3.14 has no public way to stop a running task
         # (3.14 adds ProcessPoolExecutor.kill()), so reach the workers
         # through the executor's private pid -> Process map.
-        for process in list((self._executor._processes or {}).values()):
+        executor = self._executor
+        processes = list((executor._processes or {}).values())
+        manager = executor._executor_manager_thread
+        # Drop the queued tasks before the kill breaks the executor, and
+        # keep it alive until its manager thread has done so: a broken
+        # executor fails every queued future, and on Python 3.11 its
+        # manager thread dies at one the caller already cancelled, leaving
+        # the rest unresolved and the call queue's feeder thread unjoined.
+        executor.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
             process.kill()
-        self._replace_executor()
+        if manager is not None:
+            manager.join()
+        self._executor = self._make_executor()
+        self._revivals += 1
 
     def map(self, fn: Callable, items: Iterable) -> list:
         """Apply *fn* to every item, preserving input order in the result."""

@@ -46,7 +46,14 @@ from ..sketches.serialization import build_sketch
 from ..streams.base import iter_chunks
 from .shm import SharedBlock
 
-__all__ = ["ShardTask", "ShardResult", "run_shard", "PartialUpdateTask", "run_partial_update"]
+__all__ = [
+    "ShardTask",
+    "ShardResult",
+    "run_dispatch",
+    "run_shard",
+    "PartialUpdateTask",
+    "run_partial_update",
+]
 
 
 @dataclass(frozen=True)
@@ -80,8 +87,10 @@ class ShardTask:
     attempts — but the chaos harness keys fault plans on it.
 
     ``shm_heartbeat``/``heartbeat_slot`` name one int64 slot of a shared
-    heartbeat block this dispatch increments per delivered envelope; the
-    supervisor reads it to tell a hung worker from a slow one.
+    heartbeat block.  It reads 0 while the dispatch waits for a worker;
+    :func:`run_dispatch` increments it once when a worker starts the
+    dispatch and :func:`run_shard` once per delivered envelope.  The
+    supervisor reads it to tell a hung worker from a slow or queued one.
     """
 
     index: int
@@ -144,11 +153,25 @@ def _shard_seed(task: ShardTask):
 
 def _heartbeat_stream(envelopes, beats: np.ndarray, slot: int):
     """Tick the dispatch's heartbeat slot once per delivered envelope."""
-    delivered = 0
     for envelope in envelopes:
-        delivered += 1
-        beats[slot] = delivered
+        beats[slot] += 1
         yield envelope
+
+
+def run_dispatch(worker, task: ShardTask):
+    """Mark *task*'s heartbeat slot started, then run ``worker(task)``.
+
+    Runs in the pool worker, before *worker* — a chaos worker's ``hang``
+    sleeps inside it, so a hung dispatch has started and its deadline
+    runs, while one still queued behind busy workers reads 0.
+    """
+    if task.shm_heartbeat and task.heartbeat_slot >= 0:
+        block = SharedBlock.attach(task.shm_heartbeat)
+        try:
+            block.array[task.heartbeat_slot] += 1
+        finally:
+            block.close()
+    return worker(task)
 
 
 def run_shard(task: ShardTask) -> ShardResult:

@@ -218,8 +218,14 @@ class ShardSupervisor:
 
     Hang detection uses heartbeats when the dispatch provides them: a
     dispatch whose progress counter does not move for *deadline* seconds
-    is abandoned (kind ``"deadline"``).  Without a heartbeat channel the
-    deadline falls back to wall-clock time since dispatch.
+    is abandoned (kind ``"deadline"``).  A counter that reads 0 has not
+    started: the dispatch is waiting for a worker, and its clock restarts
+    whenever any dispatch of the run starts, ticks or finishes.  So a
+    dispatch queued behind busy workers waits as long as they work, but
+    once the whole run stalls — abandoned hangs hold every worker, or no
+    worker starts — the queued dispatches expire one deadline later too.
+    Without a heartbeat channel the deadline falls back to wall-clock
+    time since dispatch.
     """
 
     def __init__(
@@ -307,6 +313,7 @@ class ShardSupervisor:
 
         for shard in range(self._shards):
             launch(shard)
+        run_progress_at = self._clock()  # last start, tick or finish
 
         while active:
             progressed = False
@@ -328,13 +335,25 @@ class ShardSupervisor:
             # 2. Abandon dispatches that made no progress for a deadline.
             if self._deadline is not None:
                 now = self._clock()
-                for record in list(active):
+                if progressed:
+                    run_progress_at = now
+                for record in active:
                     progress = getattr(record.handle, "progress", None)
-                    if progress is not None:
-                        value = progress()
-                        if value != record.progress_value:
-                            record.progress_value = value
-                            record.progress_at = now
+                    if progress is None:
+                        continue
+                    value = progress()
+                    if value != record.progress_value:
+                        record.progress_value = value
+                        record.progress_at = now
+                        if value:
+                            run_progress_at = now
+                for record in list(active):
+                    if record.progress_value == 0:
+                        # Not started: it waits for a worker, and is hung
+                        # only once the whole run is.
+                        record.progress_at = max(
+                            record.progress_at, run_progress_at
+                        )
                     if now - record.progress_at <= self._deadline:
                         continue
                     active.remove(record)

@@ -13,6 +13,7 @@ from repro.dataplane import (
     EngineOperator,
     FileSource,
     IterableSource,
+    Operator,
     Pipeline,
     RuntimeSink,
     ShedOperator,
@@ -218,6 +219,50 @@ def test_rerun_rejects_a_different_payload_for_the_failed_chunk():
     expected = FagmsSketch(64, 3, seed=39)
     expected.update(np.concatenate([np.arange(10) + i for i in range(3)]))
     assert np.array_equal(sketch.counters, expected.counters)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda envelope: None,
+        lambda envelope: iter([envelope]),
+        lambda envelope: make_envelope(envelope.sequence + 1, envelope.keys),
+    ],
+    ids=["none", "generator", "other-sequence"],
+)
+def test_an_operator_must_return_its_envelope(bad):
+    class OddsGoAstray(Operator):
+        def process(self, envelope):
+            return envelope if envelope.sequence % 2 == 0 else bad(envelope)
+
+    collect = CollectSink()
+    pipeline = Pipeline(
+        IterableSource([np.arange(3)] * 4),
+        OddsGoAstray(),
+        sinks=[collect],
+        queue_depth=0,
+    )
+    with pytest.raises(StreamIntegrityError, match="stage 0.*for chunk 1"):
+        pipeline.run()
+    assert collect.position == 1
+    assert len(collect.chunks) == 1
+
+
+def test_an_operator_that_drops_every_key_reseals_an_empty_envelope():
+    class DropAll(Operator):
+        def process(self, envelope):
+            return make_envelope(envelope.sequence, np.empty(0, dtype=np.int64))
+
+    collect = CollectSink()
+    result = Pipeline(
+        IterableSource([np.arange(3)] * 4),
+        DropAll(),
+        sinks=[collect],
+        queue_depth=0,
+    ).run()
+    assert collect.position == 4
+    assert [chunk.size for chunk in collect.chunks] == [0, 0, 0, 0]
+    assert (result.tuples_in, result.tuples_out) == (12, 0)
 
 
 def test_gap_raises():

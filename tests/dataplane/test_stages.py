@@ -37,7 +37,7 @@ class TestOperators:
         envelope = _envelope()
         shed = ShedOperator(1.0, seed=11)
         rng_state = shed.shedder.state()["rng_state"]
-        (out,) = shed.process(envelope)
+        out = shed.process(envelope)
         assert out is envelope  # untouched, not resealed
         assert shed.shedder.state()["rng_state"] == rng_state  # no draws
         # The shedder still tallies the draw its info() describes.
@@ -48,7 +48,7 @@ class TestOperators:
     def test_shed_below_full_rate_matches_load_shedder(self):
         batch = np.asarray(_envelope(seed=6, n=128).keys)
         shed = ShedOperator(0.3, seed=21)
-        (out,) = shed.process(make_envelope(0, batch))
+        out = shed.process(make_envelope(0, batch))
         assert np.array_equal(
             verify_payload(out), LoadShedder(0.3, seed=21).filter(batch)
         )
@@ -60,7 +60,7 @@ class TestOperators:
         mirror = FagmsSketch(64, 3, seed=31)
         operator = SketchUpdateOperator(sketch)
         envelope = _envelope()
-        (out,) = operator.process(envelope)
+        out = operator.process(envelope)
         assert out is envelope
         mirror.update(np.asarray(envelope.keys))
         assert np.array_equal(sketch.counters, mirror.counters)
@@ -71,7 +71,7 @@ class TestOperators:
         engine.register("flows", 32)
         operator = EngineOperator(engine, "flows")
         envelope = _envelope()
-        (out,) = operator.process(envelope)
+        out = operator.process(envelope)
         assert out is envelope
         assert engine.scanned_tuples("flows") == envelope.count
 

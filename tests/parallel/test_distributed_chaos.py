@@ -153,6 +153,33 @@ class TestChaosMatrix:
         assert np.array_equal(result.sketch._state(), _sequential_state(skewed_keys))
         assert result.retries >= 1
 
+    @pytest.mark.parametrize("shared_memory", [False, True])
+    def test_queued_shards_are_not_culled(
+        self, shm_ledger, skewed_keys, shared_memory
+    ):
+        # Slow faults shorter than the deadline keep both workers busy, so
+        # the last shards wait in the queue longer than the deadline.
+        shards = 10
+        plan = ParallelChaosPlan(
+            faults=tuple(
+                ((shard, 0), WorkerFault("slow", 0.12)) for shard in range(shards)
+            )
+        )
+        with WorkerPool(2) as pool:
+            result = run_sharded_sketch(
+                skewed_keys,
+                _template(),
+                shards=shards,
+                pool=pool,
+                max_retries=2,
+                deadline=0.35,
+                poll_interval=0.02,
+                shared_memory=shared_memory,
+                _worker=ChaosShardWorker(plan),
+            )
+        assert result.retries == 0
+        assert np.array_equal(result.sketch._state(), _sequential_state(skewed_keys))
+
     def test_abandoned_hang_does_not_hold_the_pool(self, shm_ledger, skewed_keys):
         # A running task cannot be cancelled: without recycling its
         # workers, close() would wait out the whole hang.
@@ -199,6 +226,40 @@ class TestChaosMatrix:
                     poll_interval=0.02,
                     _worker=ChaosShardWorker(plan),
                 )
+        finally:
+            start = time.perf_counter()
+            pool.close()
+            closed = time.perf_counter() - start
+        assert closed < 5.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hangs_holding_every_worker_end_the_run(
+        self, shm_ledger, skewed_keys, workers
+    ):
+        # Abandoned hangs hold every worker, so no queued dispatch can
+        # start: the queued ones expire one deadline after the run stalls
+        # and the retries run out, instead of waiting out the hang.
+        hang = 30.0
+        plan = ParallelChaosPlan(
+            faults=tuple(
+                ((shard, 0), WorkerFault("hang", hang)) for shard in range(workers)
+            )
+        )
+        pool = WorkerPool(workers)
+        try:
+            start = time.perf_counter()
+            with pytest.raises(RetryExhaustedError):
+                run_sharded_sketch(
+                    skewed_keys,
+                    _template(),
+                    shards=3,
+                    pool=pool,
+                    max_retries=1,
+                    deadline=0.25,
+                    poll_interval=0.02,
+                    _worker=ChaosShardWorker(plan),
+                )
+            assert time.perf_counter() - start < hang / 6
         finally:
             start = time.perf_counter()
             pool.close()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,26 @@ def test_inline_pool_recycle_is_a_no_op(inline_pool):
     inline_pool.recycle()
     assert inline_pool.inline
     assert inline_pool.revivals == 0
+
+
+def test_recycle_settles_every_future():
+    # One worker sleeps in a task and the executor's call queue holds two
+    # more, so the last two stay queued; the caller cancels the fourth.
+    # recycle() must still settle the fifth.
+    pool = WorkerPool(1)
+    try:
+        futures = [pool.submit(time.sleep, 30.0) for _ in range(5)]
+        assert futures[3].cancel()
+        pool.recycle()
+        assert all(future.done() for future in futures)
+        assert futures[4].cancelled()
+        for future in futures[:3]:
+            assert future.cancelled() or isinstance(
+                future.exception(), BrokenProcessPool
+            )
+        assert pool.revivals == 1
+    finally:
+        pool.close()
 
 
 # ----------------------------------------------------------------------

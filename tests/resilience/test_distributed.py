@@ -72,6 +72,22 @@ class FakeFuture:
         return self._result
 
 
+class DueFuture(FakeFuture):
+    """A future that finishes once the fake clock passes *due*."""
+
+    def __init__(self, clock: FakeClock, due: float, result=None):
+        super().__init__(clock, result=result, never=True)
+        self._due = due
+
+    def done(self) -> bool:
+        return self._clock.now > self._due or super().done()
+
+    def result(self, timeout=None):
+        if not self.cancelled and self._clock.now > self._due:
+            return self._result
+        return super().result(timeout)
+
+
 class Handle:
     def __init__(self, future, progress=None):
         self.future = future
@@ -97,6 +113,14 @@ class ScriptedDispatch:
         if factory is None:
             return Handle(FakeFuture(self.clock, result=(shard, attempt)))
         return factory()
+
+
+def busy_until(clock: FakeClock, due: float) -> Handle:
+    """A started dispatch whose heartbeat ticks every poll until *due*."""
+    return Handle(
+        DueFuture(clock, due, result="busy"),
+        progress=lambda: 1 + round(clock.now * 1000),
+    )
 
 
 def make_supervisor(clock: FakeClock, **kwargs) -> ShardSupervisor:
@@ -342,6 +366,77 @@ class TestDeadlines:
         outcome = supervisor.run(dispatch)
         assert calls["n"] == 1  # never redispatched: heartbeats kept it alive
         assert outcome.deadline_failures == 0
+
+    def test_unstarted_dispatch_runs_no_deadline(self):
+        # Shard 1's heartbeat reads 0 — queued behind shard 0's busy
+        # worker — for ten deadlines; then it starts and finishes.
+        clock = FakeClock()
+        dispatch = ScriptedDispatch(
+            clock,
+            {
+                (0, 0): lambda: busy_until(clock, 0.5),
+                (1, 0): lambda: Handle(
+                    DueFuture(clock, 0.55, result="done"),
+                    progress=lambda: int(clock.now > 0.5),
+                ),
+            },
+        )
+        outcome = make_supervisor(
+            clock, shards=2, max_retries=2, deadline=0.05, poll_interval=0.01
+        ).run(dispatch)
+        assert clock.now > 0.55
+        assert outcome.deadline_failures == 0
+        assert outcome.retries == 0
+        assert dispatch.calls == [(0, 0, False), (1, 0, False)]
+
+    def test_deadline_runs_from_the_start_mark(self):
+        # Queued until 0.3, when shard 0 frees its worker; then started
+        # and silent: culled one deadline after the start, not after the
+        # dispatch.
+        clock = FakeClock()
+        retried_at = []
+
+        def retry():
+            retried_at.append(clock.now)
+            return Handle(FakeFuture(clock, result="retry"))
+
+        dispatch = ScriptedDispatch(
+            clock,
+            {
+                (0, 0): lambda: busy_until(clock, 0.3),
+                (1, 0): lambda: Handle(
+                    FakeFuture(clock, never=True),
+                    progress=lambda: int(clock.now > 0.3),
+                ),
+                (1, 1): retry,
+            },
+        )
+        outcome = make_supervisor(
+            clock, shards=2, max_retries=1, deadline=0.05, poll_interval=0.01
+        ).run(dispatch)
+        assert outcome.deadline_failures == 1
+        assert 0.35 <= retried_at[0] <= 0.38
+
+    def test_queued_dispatches_expire_once_the_run_stalls(self):
+        # Shard 0 starts and hangs on the only worker; nothing else can
+        # start.  Queued dispatches expire one deadline after the last
+        # progress, so the retries run out instead of waiting for the
+        # hang (these futures would only finish at t=10).
+        clock = FakeClock()
+
+        def queued():
+            return Handle(DueFuture(clock, 10.0), progress=lambda: 0)
+
+        script = {
+            (shard, attempt): queued for shard in range(3) for attempt in range(2)
+        }
+        script[(0, 0)] = lambda: Handle(DueFuture(clock, 10.0), progress=lambda: 1)
+        dispatch = ScriptedDispatch(clock, script)
+        with pytest.raises(RetryExhaustedError):
+            make_supervisor(
+                clock, shards=3, max_retries=1, deadline=0.05, poll_interval=0.01
+            ).run(dispatch)
+        assert clock.now < 0.2
 
     def test_exhausted_deadline_records_deadline_kind(self):
         clock = FakeClock()

@@ -11,6 +11,7 @@ where only the summation order differs).
 """
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -307,14 +308,14 @@ def test_native_activation_reports_build_failure(monkeypatch):
     assert native_module.native_build_error() == "cc: not found"
 
 
-def test_native_build_leaves_no_temp_directory(tmp_path):
-    """A fresh process that builds the native library cleans up after it."""
-    env = dict(os.environ, TMPDIR=str(tmp_path))
+def _native_available_in_fresh_process(tmp_path, **env_extra):
+    """Run ``native_available()`` in a new interpreter building under *tmp_path*."""
+    env = dict(os.environ, TMPDIR=str(tmp_path), **env_extra)
     src = Path(__file__).resolve().parents[1] / "src"
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(src), env.get("PYTHONPATH")])
     )
-    process = subprocess.run(
+    return subprocess.run(
         [
             sys.executable,
             "-c",
@@ -325,9 +326,36 @@ def test_native_build_leaves_no_temp_directory(tmp_path):
         text=True,
         timeout=120,
     )
+
+
+def test_native_build_leaves_no_temp_directory(tmp_path):
+    """A fresh process that builds the native library cleans up after it."""
+    process = _native_available_in_fresh_process(tmp_path)
     assert process.returncode == 0, process.stderr
     # Built or not (no compiler), nothing of the build may stay behind.
     assert process.stdout.strip() in ("True", "False")
+    assert not list(tmp_path.glob("repro-kernels-*"))
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc)")
+def test_native_build_falls_back_to_the_portable_compile(tmp_path):
+    """A compiler that rejects ``-march=native`` gets the portable compile."""
+    log = tmp_path / "cc.log"
+    wrapper = tmp_path / "cc-no-march"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        f'echo "$*" >> "{log}"\n'
+        'case " $* " in *" -march=native "*) exit 1 ;; esac\n'
+        'exec cc "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    process = _native_available_in_fresh_process(tmp_path, CC=str(wrapper))
+    assert process.returncode == 0, process.stderr
+    assert process.stdout.strip() == "True"
+    attempts = log.read_text().splitlines()
+    assert len(attempts) == 2
+    assert "-march=native" in attempts[0].split()
+    assert "-march=native" not in attempts[1].split()
     assert not list(tmp_path.glob("repro-kernels-*"))
 
 
