@@ -83,16 +83,20 @@ class AnalysisConfig:
     rules: dict = dataclasses.field(default_factory=dict)
 
     def rule_config(self, code: str) -> RuleConfig:
-        """The (possibly default) :class:`RuleConfig` for *code*."""
-        return self.rules.get(code) or RuleConfig()
+        """The resolved :class:`RuleConfig` for *code* (the rule's
+        in-code defaults when *code* has no entry)."""
+        config = self.rules.get(code)
+        if config is None:
+            config = _rule_config_from_table(RULE_REGISTRY[code], {})
+        return config
 
     def severity_for(self, code: str) -> Severity:
         """Effective severity: per-rule override or the rule's default."""
-        override = self.rule_config(code).severity
-        if override is not None:
-            return override
         rule = RULE_REGISTRY.get(code)
-        return rule.default_severity if rule else Severity.ERROR
+        if rule is None:
+            return Severity.ERROR
+        override = self.rule_config(code).severity
+        return rule.default_severity if override is None else override
 
 
 def _read_pyproject_table(root: Path) -> dict:

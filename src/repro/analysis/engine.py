@@ -202,12 +202,7 @@ def _check_file(
         if selected is not None and rule.code not in selected:
             continue
         rule_config = config.rule_config(rule.code)
-        include = rule_config.include or rule.default_include
-        exclude = rule_config.exclude or rule.default_exclude
-        effective = dataclasses.replace(
-            rule_config, include=include, exclude=exclude
-        )
-        if not effective.applies_to(rel_path):
+        if not rule_config.applies_to(rel_path):
             continue
         ctx = dataclasses.replace(base_ctx, options=rule_config.options)
         severity = config.severity_for(rule.code)

@@ -12,13 +12,14 @@ engine:
    inline ``workers=0`` fallback) whose workers pin the coordinator's
    kernel backend.
 3. :mod:`.shm` moves shard keys and counters through named
-   ``multiprocessing.shared_memory`` segments (:class:`~.shm.SharedBlock`)
-   instead of the pickle pipe whenever a process boundary is crossed.
+   ``multiprocessing.shared_memory`` segments (:class:`~.shm.SharedBlock`),
+   the one transport for inline and process pools alike.
 4. :mod:`.worker` executes one shard per task on the resilient
    :class:`~repro.resilience.runtime.StreamRuntime` — per-shard Bernoulli
    shedding with independently spawned seed substreams (a retried shard
    runs again from its first chunk, bit-identically) — writing counters
-   straight into the shard's shared slot.
+   straight into the dispatch's own shared slot (one per
+   ``(shard, attempt)``).
 5. :mod:`.merge` reduces the per-shard sketches in a fixed-order balanced
    merge tree (:func:`~.merge.merge_tree`, or its bit-identical
    array-level twin :func:`~.merge.reduce_counter_tree` over shared

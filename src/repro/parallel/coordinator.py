@@ -24,15 +24,17 @@ Determinism contract (tested in ``tests/parallel/``):
 * The process boundary adds nothing: an inline pool (``workers=0``) and a
   process pool produce bit-identical results for the same plan.
 
-Transport: when the pool is process-backed (or ``shared_memory=True``
-forces it), shard keys and counters move through
-:class:`~.shm.SharedBlock` segments instead of the multiprocessing pipe —
-one shared key block the workers slice, one ``(shards,) + state_shape``
-counter block whose slots the workers' sketches write *in place*.  Tasks
-and results then carry only descriptors and scalars; the coordinator
-backfills :attr:`~.worker.ShardResult.counters` from the block, reduces
-the slots with :func:`~.merge.reduce_counter_tree` (bit-identical to
-:func:`~.merge.merge_tree` by construction), and destroys both segments
+Transport: shard keys and counters always move through
+:class:`~.shm.SharedBlock` segments, for inline and process pools alike —
+one shared key block the workers slice, and one counter block with a slot
+per ``(shard, attempt)`` (slot ``shard * (1 + max_retries) + attempt``)
+that the workers' sketches write *in place*.  A retry therefore never
+shares memory with an earlier attempt, whatever that attempt's process is
+still doing.  Tasks and results carry only descriptors and scalars; the
+coordinator copies each winning slot into
+:attr:`~.worker.ShardResult.counters`, reduces them with
+:func:`~.merge.reduce_counter_tree` (bit-identical to
+:func:`~.merge.merge_tree` by construction), and destroys every segment
 in a ``finally`` so crashes and exhausted retries never leak ``/dev/shm``
 entries.
 
@@ -350,19 +352,6 @@ def _spawn_shard_seeds(seed: SeedLike, shards: int) -> list:
     return root.spawn(shards)
 
 
-def _use_shared_memory(shared_memory: Optional[bool], pool: WorkerPool) -> bool:
-    """Resolve the ``shared_memory`` tri-state against the pool's nature.
-
-    ``None`` (the default) enables shared-memory transport exactly when
-    results would otherwise be pickled across a process boundary; inline
-    pools keep plain in-process arrays unless a caller forces the segment
-    path (tests exercise the lifecycle that way).
-    """
-    if shared_memory is None:
-        return not pool.inline
-    return bool(shared_memory)
-
-
 def _shared_key_block(parts) -> tuple:
     """One int64 key segment holding every shard's slice, plus the ranges."""
     total = int(sum(part.size for part in parts))
@@ -405,7 +394,6 @@ def run_sharded_sketch(
     chunk_size: int = 4096,
     max_retries: int = 2,
     observer: Optional[Observer] = None,
-    shared_memory: Optional[bool] = None,
     deadline: Optional[float] = None,
     degradation: str = "fail",
     poll_interval: float = 0.005,
@@ -443,12 +431,6 @@ def run_sharded_sketch(
         worker (each builds a private shard observer), and absorbs the
         workers' observations back in fixed shard order — so one observer
         ends up with the merged metrics and the full multi-process trace.
-    shared_memory:
-        ``None`` (default) moves keys and counters through
-        :class:`~.shm.SharedBlock` segments whenever the pool crosses a
-        process boundary; ``True``/``False`` force the transport either
-        way.  The choice never changes a single counter bit — only how
-        the bytes travel.
     deadline:
         Seconds a dispatch may go without progress (heartbeat ticks over
         a process pool, wall clock otherwise) before the supervisor
@@ -498,58 +480,36 @@ def run_sharded_sketch(
         owns_pool = pool is None
         if owns_pool:
             pool = WorkerPool(0)
-        use_shm = _use_shared_memory(shared_memory, pool)
-        supervised = deadline is not None
+        attempts = 1 + max_retries
         key_block = counter_block = heartbeat_block = None
-        key_ranges = []
-        # Exclusive dispatches (retries after a deadline abandonment) may
-        # race a predecessor that is still writing, so they bind spare
-        # counter slots past the per-shard ones.  A spare slot is never
-        # reused within a run; when they run out the dispatch falls back
-        # to piping its counters.
-        spare_slots: list = []
         dispatched: list = []
 
-        def dispatch(index: int, attempt: int, exclusive: bool) -> _DispatchHandle:
-            slot = None
-            if use_shm:
-                if not exclusive:
-                    slot = index
-                elif spare_slots:
-                    slot = spare_slots.pop(0)
+        def dispatch(index: int, attempt: int) -> _DispatchHandle:
             # A shard dispatches at most 1 + max_retries times, so every
-            # (shard, attempt) owns one heartbeat slot.
-            beat = -1
-            if heartbeat_block is not None:
-                beat = index * (1 + max_retries) + attempt
+            # (shard, attempt) owns one counter slot and one heartbeat slot.
+            slot = index * attempts + attempt
             child = seeds[index]
             task = ShardTask(
                 index=index,
-                keys=None if use_shm else plan.parts[index],
                 header=header,
+                shm_keys=key_block.descriptor,
+                keys_range=key_ranges[index],
+                shm_counters=counter_block.descriptor,
+                slot=slot,
                 p=p,
                 seed_entropy=child.entropy,
                 seed_spawn_key=tuple(child.spawn_key),
                 chunk_size=chunk_size,
-                # Process workers are backend-pinned by the pool initializer;
-                # inline runs use the coordinator's active backend as-is.
-                backend=None,
                 observe=obs.enabled,
                 trace_parent=trace_parent,
-                shm_keys=() if key_block is None else key_block.descriptor,
-                keys_range=key_ranges[index] if use_shm else (),
-                shm_counters=(
-                    () if counter_block is None or slot is None
-                    else counter_block.descriptor
-                ),
                 attempt=attempt,
-                shm_slot=-1 if slot is None else int(slot),
-                shm_heartbeat=() if beat < 0 else heartbeat_block.descriptor,
-                heartbeat_slot=beat,
+                shm_heartbeat=(
+                    () if heartbeat_block is None else heartbeat_block.descriptor
+                ),
             )
             progress = None
-            if beat >= 0:
-                progress = partial(_read_heartbeat, heartbeat_block.array, beat)
+            if heartbeat_block is not None:
+                progress = partial(_read_heartbeat, heartbeat_block.array, slot)
             handle = _DispatchHandle(
                 pool.submit(run_dispatch, _worker, task), progress, slot
             )
@@ -557,29 +517,23 @@ def run_sharded_sketch(
             return handle
 
         try:
-            segments = []
-            if use_shm:
-                spares = min(8, plan.shards * max_retries) if supervised else 0
-                with obs.span("parallel.shm.setup", shards=plan.shards):
-                    key_block, key_ranges = _shared_key_block(plan.parts)
-                    state_shape = template._state().shape
-                    counter_block = SharedBlock.create(
-                        (plan.shards + spares,) + state_shape, np.float64
-                    )
-                spare_slots = list(range(plan.shards, plan.shards + spares))
-                segments += [key_block, counter_block]
-            if supervised and not pool.inline:
-                # Heartbeats cross the process boundary whatever carries
-                # the keys; an inline dispatch is done before it is seen.
+            with obs.span("parallel.shm.setup", shards=plan.shards):
+                key_block, key_ranges = _shared_key_block(plan.parts)
+                counter_block = SharedBlock.create(
+                    (plan.shards * attempts,) + template._state().shape,
+                    np.float64,
+                )
+            segments = [key_block, counter_block]
+            if deadline is not None and not pool.inline:
+                # An inline dispatch is done before it is seen.
                 heartbeat_block = SharedBlock.create(
-                    (plan.shards * (1 + max_retries),), np.int64
+                    (plan.shards * attempts,), np.int64
                 )
                 segments.append(heartbeat_block)
-            if segments:
-                obs.counter("parallel.shm.segments").inc(len(segments))
-                obs.counter("parallel.shm.bytes").inc(
-                    sum(segment.nbytes for segment in segments)
-                )
+            obs.counter("parallel.shm.segments").inc(len(segments))
+            obs.counter("parallel.shm.bytes").inc(
+                sum(segment.nbytes for segment in segments)
+            )
             supervisor = ShardSupervisor(
                 plan.shards,
                 max_retries=max_retries,
@@ -590,20 +544,15 @@ def run_sharded_sketch(
             )
             with obs.span("parallel.collect"):
                 outcome = supervisor.run(dispatch)
-            results: dict[int, ShardResult] = {}
-            for index, handle in outcome.winners.items():
-                result = handle.future.result()
-                if use_shm and handle.slot is not None:
-                    # Counters never crossed the pipe: backfill from the
-                    # winning slot before the segments go away.
-                    result = replace(
-                        result,
-                        counters=np.array(
-                            counter_block.array[handle.slot], copy=True
-                        ),
-                    )
-                results[index] = result
-            ordered = tuple(results[index] for index in sorted(results))
+            # Counters never crossed the pipe: copy each winning slot out
+            # before the segments go away.
+            ordered = tuple(
+                replace(
+                    handle.future.result(),
+                    counters=counter_block.array[handle.slot].copy(),
+                )
+                for _, handle in sorted(outcome.winners.items())
+            )
             for result in ordered:
                 if result.metrics is not None:
                     obs.absorb(
@@ -676,7 +625,6 @@ def parallel_update(
     *,
     shards: Optional[int] = None,
     pool: Optional[WorkerPool] = None,
-    shared_memory: Optional[bool] = None,
     chunk_size: Optional[int] = None,
 ) -> Sketch:
     """Bulk-update *sketch* with *keys*, fanned out over the pool.
@@ -708,40 +656,24 @@ def parallel_update(
     owns_pool = pool is None
     if owns_pool:
         pool = WorkerPool(0)
-    use_shm = _use_shared_memory(shared_memory, pool)
     key_block = counter_block = None
     try:
         ranges = _chunk_ranges(int(keys.size), shards, pool.workers, chunk_size)
-        if use_shm:
-            key_block = SharedBlock.create((int(keys.size),), np.int64)
-            key_block.array[...] = keys
-            counter_block = SharedBlock.create(
-                (len(ranges),) + state_shape, np.float64
+        key_block = SharedBlock.create((int(keys.size),), np.int64)
+        key_block.array[...] = keys
+        counter_block = SharedBlock.create((len(ranges),) + state_shape, np.float64)
+        tasks = [
+            PartialUpdateTask(
+                index=index,
+                header=header,
+                shm_keys=key_block.descriptor,
+                keys_range=key_range,
+                shm_counters=counter_block.descriptor,
             )
-            tasks = [
-                PartialUpdateTask(
-                    index=index,
-                    keys=None,
-                    header=header,
-                    shm_keys=key_block.descriptor,
-                    keys_range=key_range,
-                    shm_counters=counter_block.descriptor,
-                )
-                for index, key_range in enumerate(ranges)
-            ]
-            for future in [pool.submit(run_partial_update, t) for t in tasks]:
-                future.result()
-            reduced = reduce_counter_tree(counter_block.array)
-        else:
-            tasks = [
-                PartialUpdateTask(
-                    index=index, keys=keys[start:stop], header=header
-                )
-                for index, (start, stop) in enumerate(ranges)
-            ]
-            reduced = reduce_counter_tree(
-                np.stack(pool.map(run_partial_update, tasks))
-            )
+            for index, key_range in enumerate(ranges)
+        ]
+        pool.map(run_partial_update, tasks)
+        reduced = reduce_counter_tree(counter_block.array)
         sketch._state()[...] += reduced
     finally:
         if owns_pool:

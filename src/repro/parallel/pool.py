@@ -6,8 +6,8 @@ decisions the rest of :mod:`repro.parallel` relies on:
 
 * **Start method** — ``fork`` when the platform offers it (cheap, and the
   child inherits the already-imported library), otherwise ``spawn``.
-  Shard *results* travel back as plain arrays + scalars, so either start
-  method yields identical bytes.
+  Tasks and results are plain data (segment descriptors + scalars), so
+  either start method yields identical bytes.
 * **Backend pinning** — every worker runs an initializer that activates
   the same kernel backend as the coordinator (or an explicit override),
   so per-shard counters are computed by the same code path that a

@@ -1,12 +1,12 @@
 """Shared-memory transport blocks for the sharded sketching engine.
 
-Shipping a shard to a worker used to mean pickling its key array into the
-task and pickling the resulting counter array back — two full copies per
-shard through the multiprocessing pipe.  :class:`SharedBlock` replaces
-both directions with ``multiprocessing.shared_memory``: the coordinator
-allocates one key block and one counter block up front, workers attach by
+:class:`SharedBlock` is the one way shard keys and counters travel, for
+inline and process pools alike: the coordinator allocates one key block
+and one counter block up front (a slot per dispatch), workers attach by
 name and read/write numpy views in place, and only tiny descriptors
-(name, shape, dtype string) travel through the pipe.
+(name, shape, dtype string) travel through the pipe.  A fresh block reads
+zero without being filled, so tmpfs allocates only the pages a worker
+writes.
 
 Lifecycle contract (tested in ``tests/parallel/test_shm.py``):
 
@@ -81,16 +81,19 @@ class SharedBlock:
 
     @classmethod
     def create(cls, shape, dtype) -> "SharedBlock":
-        """Allocate a zero-filled block (the caller becomes its owner)."""
+        """Allocate a block (the caller becomes its owner).
+
+        A fresh segment reads zero (POSIX ``ftruncate`` zero-fills a new
+        object; Windows pagefile mappings start zeroed), so nothing fills
+        it and pages nobody writes are never allocated.
+        """
         shape = tuple(int(dim) for dim in np.atleast_1d(np.asarray(shape, dtype=np.int64)))
         if any(dim < 0 for dim in shape):
             raise ConfigurationError(f"block shape must be non-negative, got {shape}")
         dtype = np.dtype(dtype)
         nbytes = max(1, int(np.prod(shape, dtype=np.int64)) * dtype.itemsize)
         segment = shared_memory.SharedMemory(create=True, size=nbytes)
-        block = cls(segment, shape, dtype, owner=True)
-        block.array.fill(0)
-        return block
+        return cls(segment, shape, dtype, owner=True)
 
     @classmethod
     def attach(cls, descriptor) -> "SharedBlock":

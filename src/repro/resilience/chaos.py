@@ -314,9 +314,10 @@ class WorkerFault:
       normally (a straggler; the supervisor waits for it);
     * ``drop`` — the shard's work completes (counters written) but the
       result raises :class:`ResultDropped` instead of returning (lost
-      transport message; the retry re-binds the same slot);
+      transport message; the retry writes its own slot);
     * ``corrupt_slot`` — the worker scribbles NaN over its shared
-      counter slot and crashes (torn write; the retry overwrites it).
+      counter slot and crashes (torn write; the retry writes its own
+      slot, and the torn one is never read).
     """
 
     kind: str
@@ -445,13 +446,11 @@ class ChaosShardWorker:
                 "its result was dropped in transit"
             )
         # corrupt_slot: scribble over this dispatch's output slot, then die.
-        if task.shm_counters:
-            slot = task.shm_slot if task.shm_slot >= 0 else task.index
-            block = SharedBlock.attach(task.shm_counters)
-            try:
-                block.array[slot] = float("nan")
-            finally:
-                block.close()
+        block = SharedBlock.attach(task.shm_counters)
+        try:
+            block.array[task.slot] = float("nan")
+        finally:
+            block.close()
         raise SimulatedCrash(
             f"shard {task.index} attempt {task.attempt} tore its counter "
             "slot and crashed"

@@ -197,15 +197,14 @@ class ShardSupervisor:
     """Coordinator-side shard lifecycle: deadlines, retries, loss.
 
     The supervisor is transport-agnostic: it drives an injected
-    ``dispatch(shard, attempt, exclusive)`` callable that returns a handle
-    exposing ``handle.future`` (``done()`` / ``result()`` / ``cancel()``)
-    and optionally ``handle.progress`` — a zero-argument callable reading
-    that dispatch's heartbeat counter.  *attempt* is a per-shard dispatch
+    ``dispatch(shard, attempt)`` callable that returns a handle exposing
+    ``handle.future`` (``done()`` / ``result()`` / ``cancel()``) and
+    optionally ``handle.progress`` — a zero-argument callable reading that
+    dispatch's heartbeat counter.  *attempt* is a per-shard dispatch
     ordinal (0 for the first launch, 1 for the first retry, ...), which is
-    what the chaos harness keys its fault plans on.  ``exclusive=True``
-    warns the dispatcher that an earlier attempt of this shard was
-    abandoned and may still be running and writing — the new attempt must
-    get a private output slot.
+    what the chaos harness keys its fault plans on.  An abandoned attempt
+    may still be running and writing, so the dispatcher gives every
+    ``(shard, attempt)`` its own output (the coordinator's counter slots).
 
     A failed shard runs again from its first chunk, as soon as its failure
     is seen.  Shard work depends only on the shard's keys and its spawned
@@ -279,11 +278,10 @@ class ShardSupervisor:
         outcome = SupervisionOutcome()
         active: List[_Dispatch] = []  # at most one live dispatch per shard
         failures = [0] * self._shards  # also the next attempt ordinal
-        tainted = [False] * self._shards  # abandoned attempt may still write
         last_error: Dict[int, BaseException] = {}
 
         def launch(shard: int) -> None:
-            handle = dispatch(shard, failures[shard], tainted[shard])
+            handle = dispatch(shard, failures[shard])
             active.append(_Dispatch(shard, handle, self._clock()))
 
         def settle(shard: int, exc: BaseException, kind: str) -> None:
@@ -358,7 +356,6 @@ class ShardSupervisor:
                         continue
                     active.remove(record)
                     record.handle.future.cancel()
-                    tainted[record.shard] = True
                     progressed = True
                     settle(
                         record.shard,

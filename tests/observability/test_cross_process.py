@@ -79,12 +79,8 @@ def test_sharded_counters_match_sequential(keys, template, backend):
 
 
 def test_process_pool_and_inline_agree(keys, process_pool):
-    """Work counters agree; only the shm transport metrics may differ.
-
-    A process-pool run ships shards through shared-memory segments and
-    meters them (``parallel.shm.*``); an inline run has nothing to
-    transport, so those counters are absent there by design.
-    """
+    """Every counter agrees: both runs ship shards through the same
+    shared-memory segments and meter them (``parallel.shm.*``)."""
     template = FagmsSketch(64, rows=3, seed=17)
     inline_obs = Observer()
     run_sharded_sketch(keys, template, shards=4, observer=inline_obs)
@@ -94,17 +90,8 @@ def test_process_pool_and_inline_agree(keys, process_pool):
     )
     inline = inline_obs.metrics.snapshot()
     pooled = pooled_obs.metrics.snapshot()
-
-    def work_counters(snapshot):
-        return {
-            key: value
-            for key, value in snapshot.counters.items()
-            if not key[0].startswith("parallel.shm.")
-        }
-
-    assert work_counters(pooled) == work_counters(inline)
+    assert pooled.counters == inline.counters
     assert pooled.counter_value("parallel.shm.segments") == 2
-    assert inline.counter_value("parallel.shm.segments") == 0
 
 
 def test_merged_prometheus_dump_matches_sequential(keys, process_pool):

@@ -88,40 +88,29 @@ def test_process_pool_matches_inline(skewed_keys, process_pool):
     assert inline.info() == pooled.info()
 
 
-# Both transports over a real process boundary.  With shared_memory=False
-# every ShardTask / PartialUpdateTask and every result is pickled through
-# the pool's pipe, so anything unpicklable placed in a task fails here.
-TRANSPORTS = pytest.mark.parametrize(
-    "shared_memory", [False, True], ids=["pipe", "shm"]
-)
+# Over a real process boundary every ShardTask / PartialUpdateTask and
+# every result is pickled through the pool's pipe, so anything
+# unpicklable placed in a task or a result fails here.
 
 
-@TRANSPORTS
 def test_run_sharded_sketch_over_processes_is_bit_identical(
-    skewed_keys, process_pool, shared_memory
+    skewed_keys, process_pool
 ):
     sequential = FagmsSketch(64, rows=3, seed=17)
     sequential.update(skewed_keys)
     result = run_sharded_sketch(
-        skewed_keys,
-        sequential.copy_empty(),
-        shards=4,
-        pool=process_pool,
-        shared_memory=shared_memory,
+        skewed_keys, sequential.copy_empty(), shards=4, pool=process_pool
     )
     assert np.array_equal(sequential._state(), result.sketch._state())
 
 
-@TRANSPORTS
 def test_parallel_update_over_processes_is_bit_identical(
-    skewed_keys, process_pool, shared_memory
+    skewed_keys, process_pool
 ):
     sequential = FagmsSketch(64, rows=3, seed=17)
     sequential.update(skewed_keys)
     sharded = FagmsSketch(64, rows=3, seed=17)
-    parallel_update(
-        sharded, skewed_keys, pool=process_pool, shared_memory=shared_memory
-    )
+    parallel_update(sharded, skewed_keys, pool=process_pool)
     assert np.array_equal(sequential._state(), sharded._state())
 
 

@@ -16,16 +16,25 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, RetryExhaustedError
 from repro.observability import Observer
-from repro.parallel import DegradedScanResult, WorkerPool, run_sharded_sketch
+from repro.parallel import (
+    DegradedScanResult,
+    SharedBlock,
+    WorkerPool,
+    run_shard,
+    run_sharded_sketch,
+)
 from repro.resilience.chaos import (
     ChaosShardWorker,
     ParallelChaosPlan,
+    SimulatedCrash,
     WorkerFault,
     make_parallel_chaos_plan,
 )
@@ -100,8 +109,7 @@ class TestChaosMatrix:
     def test_seeded_chaos_is_bit_identical_inline(
         self, shm_ledger, skewed_keys, chaos_seed
     ):
-        # The inline matrix adds hang faults (no SIGKILL in-process) and
-        # forces the shared-memory transport so slot rebinding is hit.
+        # The inline matrix adds hang faults (no SIGKILL in-process).
         plan = make_parallel_chaos_plan(
             2000 + chaos_seed,
             4,
@@ -113,7 +121,6 @@ class TestChaosMatrix:
             skewed_keys,
             _template(),
             shards=4,
-            shared_memory=True,
             max_retries=4,
             _worker=ChaosShardWorker(plan),
         )
@@ -153,10 +160,7 @@ class TestChaosMatrix:
         assert np.array_equal(result.sketch._state(), _sequential_state(skewed_keys))
         assert result.retries >= 1
 
-    @pytest.mark.parametrize("shared_memory", [False, True])
-    def test_queued_shards_are_not_culled(
-        self, shm_ledger, skewed_keys, shared_memory
-    ):
+    def test_queued_shards_are_not_culled(self, shm_ledger, skewed_keys):
         # Slow faults shorter than the deadline keep both workers busy, so
         # the last shards wait in the queue longer than the deadline.
         shards = 10
@@ -174,7 +178,6 @@ class TestChaosMatrix:
                 max_retries=2,
                 deadline=0.35,
                 poll_interval=0.02,
-                shared_memory=shared_memory,
                 _worker=ChaosShardWorker(plan),
             )
         assert result.retries == 0
@@ -265,6 +268,67 @@ class TestChaosMatrix:
             pool.close()
             closed = time.perf_counter() - start
         assert closed < 5.0
+
+
+def _wait_for(path: Path, limit: float = 10.0) -> None:
+    stop = time.monotonic() + limit
+    while not path.exists():
+        if time.monotonic() > stop:
+            raise TimeoutError(f"{path} never appeared")
+        time.sleep(0.005)
+
+
+@dataclass(frozen=True)
+class _LateWriter:
+    """Shard 0's abandoned first attempt writes after its retry finished.
+
+    Attempt 0 stays silent, so its deadline expires, until the retry has
+    sketched the shard; then it scribbles NaN over its counter slot and
+    crashes.  The retry waits for that late write before it returns, so
+    the coordinator copies the winning slot after the abandoned attempt
+    wrote.
+    """
+
+    directory: str
+
+    def __call__(self, task):
+        if task.index != 0:
+            return run_shard(task)
+        retry_done = Path(self.directory, "retry-done")
+        late_write = Path(self.directory, "late-write")
+        if task.attempt == 0:
+            _wait_for(retry_done)
+            block = SharedBlock.attach(task.shm_counters)
+            try:
+                block.array[task.slot] = np.nan
+            finally:
+                block.close()
+            late_write.touch()
+            raise SimulatedCrash("abandoned attempt wrote late")
+        result = run_shard(task)
+        retry_done.touch()
+        _wait_for(late_write)
+        return result
+
+
+class TestAbandonedAttempts:
+    def test_late_write_never_reaches_the_merge(
+        self, shm_ledger, skewed_keys, tmp_path
+    ):
+        with WorkerPool(2) as pool:
+            result = run_sharded_sketch(
+                skewed_keys,
+                _template(),
+                shards=3,
+                pool=pool,
+                max_retries=1,
+                deadline=0.3,
+                poll_interval=0.02,
+                _worker=_LateWriter(str(tmp_path)),
+            )
+        assert (tmp_path / "late-write").exists()
+        assert result.retries == 1
+        assert np.array_equal(result.sketch._state(), _sequential_state(skewed_keys))
 
 
 # ----------------------------------------------------------------------
@@ -391,7 +455,6 @@ class TestObservability:
             shards=3,
             max_retries=1,
             degradation="degrade",
-            shared_memory=True,
             observer=obs,
             _worker=ChaosShardWorker(ParallelChaosPlan(faults=faults)),
         )

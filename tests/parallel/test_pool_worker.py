@@ -4,31 +4,80 @@ from __future__ import annotations
 
 import time
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.kernels import backend_name
-from repro.parallel import ShardTask, WorkerPool, run_shard
+from repro.parallel import SharedBlock, ShardTask, WorkerPool, run_shard
 from repro.parallel.worker import PartialUpdateTask, run_partial_update
 from repro.sketches.fagms import FagmsSketch
 from repro.sketches.serialization import sketch_header
 
 
-def _task(keys, **overrides) -> ShardTask:
-    template = FagmsSketch(128, rows=3, seed=21)
-    fields = dict(
-        index=0,
-        keys=np.asarray(keys, dtype=np.int64),
-        header=sketch_header(template),
-        p=0.5,
-        seed_entropy=1234,
-        seed_spawn_key=(0,),
-        chunk_size=256,
+def _template() -> FagmsSketch:
+    return FagmsSketch(128, rows=3, seed=21)
+
+
+@contextmanager
+def _blocks(keys, template):
+    """A key block holding *keys* and a one-slot counter block.
+
+    The slot starts as NaN, so a worker that leaves any counter unwritten
+    fails the comparison with a plain sketch.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    key_block = SharedBlock.create(keys.shape, np.int64)
+    counter_block = SharedBlock.create(
+        (1,) + template._state().shape, np.float64
     )
-    fields.update(overrides)
-    return ShardTask(**fields)
+    try:
+        key_block.array[...] = keys
+        counter_block.array[...] = np.nan
+        yield key_block, counter_block
+    finally:
+        key_block.destroy()
+        counter_block.destroy()
+
+
+def _run_shard(keys, **overrides):
+    """run_shard over *keys*; returns the result with its slot's counters."""
+    template = _template()
+    with _blocks(keys, template) as (key_block, counter_block):
+        fields = dict(
+            index=0,
+            header=sketch_header(template),
+            shm_keys=key_block.descriptor,
+            keys_range=(0, len(keys)),
+            shm_counters=counter_block.descriptor,
+            slot=0,
+            p=0.5,
+            seed_entropy=1234,
+            seed_spawn_key=(0,),
+            chunk_size=256,
+        )
+        fields.update(overrides)
+        result = run_shard(ShardTask(**fields))
+        assert result.counters is None
+        return replace(result, counters=counter_block.array[0].copy())
+
+
+def _run_partial_update(keys) -> np.ndarray:
+    """run_partial_update over *keys*; returns its slot's counters."""
+    template = _template()
+    with _blocks(keys, template) as (key_block, counter_block):
+        task = PartialUpdateTask(
+            index=0,
+            header=sketch_header(template),
+            shm_keys=key_block.descriptor,
+            keys_range=(0, len(keys)),
+            shm_counters=counter_block.descriptor,
+        )
+        assert run_partial_update(task) is None
+        return counter_block.array[0].copy()
 
 
 # ----------------------------------------------------------------------
@@ -110,14 +159,14 @@ def test_recycle_settles_every_future():
 
 
 def test_run_shard_deterministic(skewed_keys):
-    a = run_shard(_task(skewed_keys))
-    b = run_shard(_task(skewed_keys))
+    a = _run_shard(skewed_keys)
+    b = _run_shard(skewed_keys)
     assert np.array_equal(a.counters, b.counters)
     assert (a.seen, a.kept, a.p) == (b.seen, b.kept, b.p)
 
 
 def test_run_shard_result_ledger(skewed_keys):
-    result = run_shard(_task(skewed_keys))
+    result = _run_shard(skewed_keys)
     assert result.seen == skewed_keys.size
     assert 0 < result.kept < result.seen
     info = result.info()
@@ -127,8 +176,8 @@ def test_run_shard_result_ledger(skewed_keys):
 
 
 def test_run_shard_unshedded_matches_plain_sketch(skewed_keys):
-    result = run_shard(_task(skewed_keys, p=1.0))
-    plain = FagmsSketch(128, rows=3, seed=21)
+    result = _run_shard(skewed_keys, p=1.0)
+    plain = _template()
     plain.update(skewed_keys)
     assert np.array_equal(result.counters, plain.counters)
     assert result.kept == result.seen
@@ -140,22 +189,12 @@ def test_run_shard_unshedded_matches_plain_sketch(skewed_keys):
 
 
 def test_partial_update_matches_direct_update(skewed_keys):
-    template = FagmsSketch(128, rows=3, seed=21)
-    counters = run_partial_update(
-        PartialUpdateTask(index=0, keys=skewed_keys, header=sketch_header(template))
-    )
-    plain = template.copy_empty()
+    counters = _run_partial_update(skewed_keys)
+    plain = _template()
     plain.update(skewed_keys)
     assert np.array_equal(counters, plain.counters)
 
 
 def test_partial_update_empty_shard():
-    template = FagmsSketch(64, rows=2, seed=4)
-    counters = run_partial_update(
-        PartialUpdateTask(
-            index=0,
-            keys=np.empty(0, dtype=np.int64),
-            header=sketch_header(template),
-        )
-    )
+    counters = _run_partial_update(np.empty(0, dtype=np.int64))
     assert not counters.any()

@@ -179,31 +179,17 @@ def test_parallel_update_over_processes_leaves_no_segments(
     assert np.array_equal(direct._state(), sharded._state())
 
 
-def test_forced_shared_memory_inline_is_bit_identical(shm_ledger, skewed_keys):
-    """shared_memory=True exercises the whole segment path in-process."""
-    template = FagmsSketch(64, rows=3, seed=17)
-    plain = run_sharded_sketch(skewed_keys, template, shards=3)
-    forced = run_sharded_sketch(
-        skewed_keys, template, shards=3, shared_memory=True
-    )
-    assert np.array_equal(plain.sketch._state(), forced.sketch._state())
+def test_inline_runs_are_bit_identical_and_leave_no_segments(
+    shm_ledger, skewed_keys
+):
+    """An inline pool runs the same segment transport as a process pool."""
     direct = FagmsSketch(64, rows=3, seed=17)
     direct.update(skewed_keys)
+    result = run_sharded_sketch(skewed_keys, direct.copy_empty(), shards=3)
+    assert np.array_equal(direct._state(), result.sketch._state())
     sharded = FagmsSketch(64, rows=3, seed=17)
-    parallel_update(
-        sharded, skewed_keys, shards=4, shared_memory=True, chunk_size=2_048
-    )
+    parallel_update(sharded, skewed_keys, shards=4, chunk_size=2_048)
     assert np.array_equal(direct._state(), sharded._state())
-
-
-def test_shared_memory_false_disables_transport(shm_ledger, skewed_keys):
-    template = FagmsSketch(64, rows=3, seed=17)
-    result = run_sharded_sketch(
-        skewed_keys, template, shards=2, shared_memory=False
-    )
-    sequential = template.copy_empty()
-    sequential.update(skewed_keys)
-    assert np.array_equal(sequential._state(), result.sketch._state())
 
 
 def test_shedding_with_processes_matches_inline(shm_ledger, process_pool, skewed_keys):
@@ -258,19 +244,18 @@ def test_retry_exhaustion_leaves_no_segments(shm_ledger, skewed_keys):
             shards=2,
             chunk_size=512,
             max_retries=2,
-            shared_memory=True,
             _worker=ChaosShardWorker(plan),
         )
 
 
 def test_chaos_retries_with_shared_slots_stay_bit_identical(shm_ledger, skewed_keys):
-    """A retried shard re-binds its slot over the failed attempt's bytes."""
+    """A retried shard writes its own slot; the failed attempt's is never read."""
     template = FagmsSketch(64, rows=3, seed=17)
     baseline = run_sharded_sketch(
         skewed_keys, template, shards=3, p=0.5, seed=7, chunk_size=512
     )
-    # A dropped attempt leaves finished counters in the slot and a torn
-    # one leaves NaN; the retry's fresh sketch overwrites either.
+    # A dropped attempt leaves finished counters in its slot and a torn
+    # one leaves NaN; neither slot reaches the merge.
     plan = ParallelChaosPlan(
         faults=(
             ((0, 0), WorkerFault("drop")),
@@ -287,7 +272,6 @@ def test_chaos_retries_with_shared_slots_stay_bit_identical(shm_ledger, skewed_k
         seed=7,
         chunk_size=512,
         max_retries=5,
-        shared_memory=True,
         _worker=ChaosShardWorker(plan),
     )
     assert survived.retries == plan.total_faults

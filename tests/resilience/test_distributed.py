@@ -99,7 +99,7 @@ class ScriptedDispatch:
 
     *script* maps ``(shard, attempt)`` to a handle factory; unscripted
     dispatches succeed immediately with the value ``(shard, attempt)``.
-    Every call is recorded for assertions on ordinals/flags.
+    Every call is recorded for assertions on the attempt ordinals.
     """
 
     def __init__(self, clock: FakeClock, script=None):
@@ -107,8 +107,8 @@ class ScriptedDispatch:
         self.script = dict(script or {})
         self.calls = []
 
-    def __call__(self, shard, attempt, exclusive):
-        self.calls.append((shard, attempt, exclusive))
+    def __call__(self, shard, attempt):
+        self.calls.append((shard, attempt))
         factory = self.script.get((shard, attempt))
         if factory is None:
             return Handle(FakeFuture(self.clock, result=(shard, attempt)))
@@ -205,7 +205,7 @@ class TestSupervisorBasics:
         assert set(outcome.winners) == {0, 1, 2}
         assert outcome.lost == {}
         assert outcome.retries == 0
-        assert dispatch.calls == [(0, 0, False), (1, 0, False), (2, 0, False)]
+        assert dispatch.calls == [(0, 0), (1, 0), (2, 0)]
 
     def test_failures_consume_retries_then_win(self):
         clock = FakeClock()
@@ -222,9 +222,9 @@ class TestSupervisorBasics:
         assert outcome.retries == 2
         # Attempt ordinals are per-shard and dense.
         assert [c for c in dispatch.calls if c[0] == 1] == [
-            (1, 0, False),
-            (1, 1, False),
-            (1, 2, False),
+            (1, 0),
+            (1, 1),
+            (1, 2),
         ]
         # Each retry launched as soon as its failure was seen.
         assert clock.now == 0.0
@@ -315,17 +315,6 @@ class TestDeadlines:
         assert outcome.deadline_failures == 1
         assert outcome.retries == 1
 
-    def test_deadline_retry_is_exclusive_after_taint(self):
-        clock = FakeClock()
-        dispatch = ScriptedDispatch(
-            clock,
-            {(0, 0): lambda: Handle(FakeFuture(clock, never=True))},
-        )
-        make_supervisor(
-            clock, shards=1, max_retries=1, deadline=0.05, poll_interval=0.01
-        ).run(dispatch)
-        assert dispatch.calls == [(0, 0, False), (0, 1, True)]
-
     def test_heartbeat_progress_defers_the_deadline(self):
         clock = FakeClock()
         beats = {"n": 0}
@@ -337,7 +326,7 @@ class TestDeadlines:
         future = FakeFuture(clock, never=True)
         calls = {"n": 0}
 
-        def dispatch(shard, attempt, exclusive):
+        def dispatch(shard, attempt):
             calls["n"] += 1
             if calls["n"] == 1:
                 return Handle(future, progress=progress)
@@ -387,7 +376,7 @@ class TestDeadlines:
         assert clock.now > 0.55
         assert outcome.deadline_failures == 0
         assert outcome.retries == 0
-        assert dispatch.calls == [(0, 0, False), (1, 0, False)]
+        assert dispatch.calls == [(0, 0), (1, 0)]
 
     def test_deadline_runs_from_the_start_mark(self):
         # Queued until 0.3, when shard 0 frees its worker; then started
